@@ -693,7 +693,7 @@ let bench_opt_record ~workers ~config (w : prepared) =
 let json_of_record (o : opt_record) =
   let r = o.report in
   let counter n =
-    Option.value ~default:0 (List.assoc_opt n r.Cse.Pipeline.counters)
+    Option.value ~default:0 (List.assoc_opt n (Cse.Pipeline.counters r))
   in
   String.concat ""
     [

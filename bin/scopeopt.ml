@@ -879,10 +879,10 @@ let json_of_hist (s : Sobs.Hist.summary) =
    including the round-pruning tallies (rounds_pruned,
    rounds_aborted_bound, phase2_winner_reuse_hits) — the execution
    outcome (wall, per-worker busy, utilization, per-stage timeline with
-   wave depths), full counter deltas and histogram summaries.  /3 adds
-   the optional "serve" section emitted by the serve subcommand (plan
-   cache and cross-script sharing figures); single-script reports omit
-   it.  /4 adds the vectorized executor's batch figures to "execution"
+   wave depths), the run's nonzero optimizer and executor counters and
+   histogram summaries.  /3 adds the optional "serve" section emitted by
+   the serve subcommand (plan cache and cross-script sharing figures);
+   single-script reports omit it.  /4 adds the vectorized executor's batch figures to "execution"
    (batch_size, batches; the rows-per-batch histogram rides along in
    "histograms" as exec.batch_rows).  /5 adds "min" to histogram
    summaries, the "kernel_profile" metrics rows (per-kernel
@@ -981,7 +981,6 @@ let report_cmd =
     setup_logs verbose;
     Sexec.Profile.set profile;
     if trace <> None then Sobs.Trace.start ();
-    let counters_before = Sutil.Counters.baseline () in
     let catalog = make_catalog script in
     let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
     let config = base_config ~no_ext ~no_prune in
@@ -994,7 +993,16 @@ let report_cmd =
         catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
     in
     r.Cse.Pipeline.exec <- Some (exec_summary workers v);
-    let counters = Sutil.Counters.deltas counters_before in
+    (* both lists nonzero-only and sorted by name, like the report's
+       optimizer counters *)
+    let exec_counters =
+      List.sort compare
+        (List.filter
+           (fun (_, c) -> c <> 0)
+           (("exec.wall_us", int_of_float (v.Sexec.Validate.wall *. 1e6))
+           :: exec_counters v.Sexec.Validate.counters))
+    in
+    let counters = List.merge compare exec_counters (Cse.Pipeline.counters r) in
     let trace_result =
       match trace with
       | None -> Ok ()
@@ -1007,7 +1015,7 @@ let report_cmd =
     else begin
       Fmt.pr "%a" Cse.Pipeline.pp_steps r;
       Fmt.pr "%a" Cse.Pipeline.pp_exec (exec_summary workers v);
-      Fmt.pr "%a" Cse.Pipeline.pp_counters counters;
+      Fmt.pr "%a" Cse.Pipeline.pp_counters exec_counters;
       Fmt.pr "%a" Sobs.Hist.pp ();
       if profile then
         Fmt.pr "%s" (Sobs.Metrics.to_prom (Sexec.Profile.snapshot ()))
@@ -1019,7 +1027,7 @@ let report_cmd =
     (Cmd.info "report"
        ~doc:
          "Optimize and execute a script, then emit one run report: plan \
-          costs, task counts, counter deltas, histograms, per-stage \
+          costs, task counts, work counters, histograms, per-stage \
           timeline and worker utilization (--json for the machine-readable \
           form)")
     Term.(

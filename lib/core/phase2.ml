@@ -368,6 +368,8 @@ type outcome = {
   phase1_plan : Plan.t option;
   state : state;
   budget : Budget.t;
+  winner_hits : int;
+  rule_firings : int;
 }
 
 let optimize ?(config = Config.default) ?budget ~cluster
@@ -408,4 +410,11 @@ let optimize ?(config = Config.default) ?budget ~cluster
     | Some a, None -> Some a
     | None, b -> b
   in
-  { plan = best; phase1_plan = p1; state; budget = t.Optimizer.budget }
+  {
+    plan = best;
+    phase1_plan = p1;
+    state;
+    budget = t.Optimizer.budget;
+    winner_hits = t.Optimizer.winner_hits;
+    rule_firings = t.Optimizer.rule_firings;
+  }

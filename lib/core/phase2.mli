@@ -51,6 +51,8 @@ type outcome = {
   phase1_plan : Sphys.Plan.t option;
   state : state;
   budget : Sopt.Budget.t;
+  winner_hits : int;  (** winner-cache hits over both phases *)
+  rule_firings : int;  (** exploration rules fired over both phases *)
 }
 
 (** Run both optimization phases over a memo already prepared by

@@ -62,15 +62,33 @@ type report = {
   pruned_props : (int * (Sphys.Reqprops.t * Sphys.Reqprops.t) list) list;
   (* shared group -> (dropped, kept dominator) pairs (SA060 audits them) *)
   shared_info : Shared_info.t;
-  counters : (string * int) list;
-  (* hot-path counter deltas over this run (Sutil.Counters), by name *)
+  winner_hits : int;  (* winner-cache hits of both optimizers *)
+  rule_firings : int;  (* exploration rules fired by both optimizers *)
+  intern_misses : int;  (* requirements this run interned first *)
   mutable exec : exec_summary option;
   (* filled in by callers that execute the CSE plan, so downstream
      consumers (JSON report, bench comparison) see utilization and
      wall time instead of a print-only summary *)
 }
 
-(* Named-counter deltas, one "name=value" list on a line.  Shared by
+(* The optimizers' work counters by name, nonzero ones only, sorted.
+   Every winner-table miss is one budget task and every lookup interns
+   its requirement once, so misses, tasks and intern hits follow from
+   the typed fields. *)
+let counters r =
+  let tasks = r.conventional_tasks + r.cse_tasks in
+  List.filter
+    (fun (_, v) -> v <> 0)
+    [
+      ("intern.hits", r.winner_hits + tasks - r.intern_misses);
+      ("intern.misses", r.intern_misses);
+      ("optimizer.rule_firings", r.rule_firings);
+      ("optimizer.tasks", tasks);
+      ("optimizer.winner_hits", r.winner_hits);
+      ("optimizer.winner_misses", tasks);
+    ]
+
+(* Named counters, one "name=value" list on a line.  Shared by
    [pp_steps] and the CLI's execution report, which prints the engine's
    [exec.*] counters through the same formatter. *)
 let pp_counters ppf (counters : (string * int) list) =
@@ -123,7 +141,7 @@ let pp_steps ppf (r : report) =
   Fmt.pf ppf "result: estimated cost %.5g -> %.5g (%.1f%%)@."
     r.conventional_cost r.cse_cost
     (100.0 *. r.cse_cost /. Float.max 1e-9 r.conventional_cost);
-  if r.counters <> [] then pp_counters ppf r.counters
+  match counters r with [] -> () | cs -> pp_counters ppf cs
 
 let ratio r = if r.conventional_cost = 0.0 then 1.0 else r.cse_cost /. r.conventional_cost
 
@@ -138,7 +156,7 @@ let timed f =
 
 let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     ~(catalog : Relalg.Catalog.t) (script : string) : report =
-  let counters_before = Sutil.Counters.baseline () in
+  let interned_before = Sopt.Intern.size () in
   let fe = Sobs.Trace.pid_frontend in
   let ast =
     Sobs.Trace.with_span ~pid:fe "parse" (fun () ->
@@ -175,13 +193,7 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
         Spool.identify ~config memo)
   in
   let outcome, cse_time =
-    timed (fun () ->
-        let budget =
-          match budget with
-          | Some b -> Some b
-          | None -> None
-        in
-        Phase2.optimize ~config ?budget ~cluster memo)
+    timed (fun () -> Phase2.optimize ~config ?budget ~cluster memo)
   in
   let cse_plan =
     match outcome.Phase2.plan with
@@ -239,6 +251,10 @@ let run ?(config = Config.default) ?budget ?(cluster = Scost.Cluster.default)
     candidate_props;
     pruned_props = state.Phase2.pruned_props;
     shared_info = si;
-    counters = Sutil.Counters.deltas counters_before;
+    winner_hits =
+      conv_ctx.Sopt.Optimizer.winner_hits + outcome.Phase2.winner_hits;
+    rule_firings =
+      conv_ctx.Sopt.Optimizer.rule_firings + outcome.Phase2.rule_firings;
+    intern_misses = Sopt.Intern.size () - interned_before;
     exec = None;
   }

@@ -57,11 +57,13 @@ type report = {
       (** shared group -> (dropped candidate, kept dominator) pairs; the
           SA060 audit re-verifies each pair against {!History.dominates} *)
   shared_info : Shared_info.t;
-  counters : (string * int) list;
-      (** hot-path counter deltas over this run ([Sutil.Counters]): winner
-          hits/misses, optimizer tasks, intern hits/misses — by name.  The
-          execution engine's [exec.*] counters (stages, vertices, retries,
-          recomputed rows) land in the same registry when plans run. *)
+  winner_hits : int;
+      (** winner-cache hits of both optimizers; every miss is one task,
+          so misses are [conventional_tasks + cse_tasks] *)
+  rule_firings : int;  (** exploration rules fired by both optimizers *)
+  intern_misses : int;
+      (** requirements this run interned for the first time: the growth
+          of {!Sopt.Intern.size} over the run *)
   mutable exec : exec_summary option;
       (** execution summary of the CSE plan, filled in by callers that
           actually run it ([scopeopt run], the bench harness) so the
@@ -69,7 +71,14 @@ type report = {
           wall time; [None] when the plans were only optimized *)
 }
 
-(** Named-counter deltas as one "counters: name=value; ..." line. *)
+(** The optimizers' work counters of a run by name, nonzero ones only,
+    sorted: [intern.hits], [intern.misses], [optimizer.rule_firings],
+    [optimizer.tasks], [optimizer.winner_hits], [optimizer.winner_misses].
+    Misses equal tasks, and every winner lookup interns its requirement
+    once, so intern hits are [winner_hits + tasks - intern_misses]. *)
+val counters : report -> (string * int) list
+
+(** Named counters as one "counters: name=value; ..." line. *)
 val pp_counters : (string * int) list Fmt.t
 
 (** One "exec: workers=N wall=..ms busy=[..] util=..%" line. *)

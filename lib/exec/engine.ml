@@ -92,15 +92,6 @@ type t = {
   mutable last_busy : float array;
 }
 
-let c_stages = Sutil.Counters.counter "exec.stages_run"
-let c_vertices = Sutil.Counters.counter "exec.vertices_run"
-let c_retries = Sutil.Counters.counter "exec.retries"
-let c_recomputed = Sutil.Counters.counter "exec.recomputed_rows"
-let c_partitions_lost = Sutil.Counters.counter "exec.partitions_lost"
-let c_machines_failed = Sutil.Counters.counter "exec.machines_failed"
-let c_wall_us = Sutil.Counters.counter "exec.wall_us"
-let c_batches = Sutil.Counters.counter "exec.batches"
-
 (* Distribution of live rows per stage-output batch. *)
 let batch_rows_h = Sobs.Hist.hist "exec.batch_rows"
 
@@ -204,7 +195,6 @@ let fresh_tally () =
   }
 
 let merge_tally t (y : tally) =
-  Sutil.Counters.bump c_batches y.t_batches;
   Mutex.protect t.mu (fun () ->
       let c = t.counters in
       c.rows_shuffled <- c.rows_shuffled + y.t_shuffled;
@@ -716,14 +706,6 @@ let execute t (plan : Plan.t) : dist =
   c.recomputed_rows <- c.recomputed_rows + m.Scheduler.recomputed_rows;
   c.partitions_lost <- c.partitions_lost + m.Scheduler.partitions_lost;
   c.machines_failed <- c.machines_failed + m.Scheduler.machines_failed;
-  Sutil.Counters.bump c_stages m.Scheduler.stages_run;
-  Sutil.Counters.bump c_vertices m.Scheduler.vertices_run;
-  Sutil.Counters.bump c_retries m.Scheduler.retries;
-  Sutil.Counters.bump c_recomputed m.Scheduler.recomputed_rows;
-  Sutil.Counters.bump c_partitions_lost m.Scheduler.partitions_lost;
-  Sutil.Counters.bump c_machines_failed m.Scheduler.machines_failed;
-  Sutil.Counters.bump c_wall_us
-    (int_of_float (t.last_wall *. 1_000_000.0));
   t.last_attempts <- outcome.Scheduler.attempts;
   t.last_seconds <- outcome.Scheduler.seconds;
   outcome.Scheduler.result

@@ -23,9 +23,8 @@
     installed, cached partitions can be lost between stages and are
     recovered by recomputing the producing stage.  Counters record rows
     shuffled/extracted, spool executions/reads, batches produced, and
-    stage/retry accounting (also surfaced as the global [exec.*] counters
-    in [Sutil.Counters], with a rows-per-batch histogram in
-    [Sobs.Hist]). *)
+    stage/retry accounting, with a rows-per-batch histogram in
+    [Sobs.Hist]. *)
 
 type dist = { schema : Relalg.Schema.t; parts : Batch.t list array }
 

@@ -1,5 +1,5 @@
-(* Log-bucketed histograms over named registry, mirroring the shape of
-   [Sutil.Counters] so reporting code can treat both uniformly.
+(* Log-bucketed histograms in a named process-global registry, so
+   reporting code can list every histogram without knowing its owner.
 
    Observations land in power-of-two buckets chosen by the float's
    binary exponent ([Float.frexp]) — one array index computation, no

@@ -1,5 +1,4 @@
-(** Log-bucketed histograms in a named registry, the distribution-shaped
-    companion to {!Sutil.Counters}.
+(** Log-bucketed histograms in a named process-global registry.
 
     Observations are bucketed by their binary exponent into power-of-two
     buckets spanning [2{^-41}..2{^39}] (seconds, rows, anything

@@ -1,8 +1,8 @@
 (* A typed registry of named counters, gauges and histograms with label
-   sets — [Sutil.Counters] structured: instruments live in an explicit
-   registry value (one per serve engine, one per profiler) instead of a
-   single process-global table, so tests and long-running engines can
-   snapshot and reset their own metrics without seeing anyone else's.
+   sets.  Instruments live in an explicit registry value (one per serve
+   engine, one per profiler) instead of a single process-global table,
+   so tests and long-running engines can snapshot and reset their own
+   metrics without seeing anyone else's.
 
    The instrument handles are the atomics themselves: after the one
    mutex-protected get-or-create per (name, labels), recording is a

@@ -1,5 +1,5 @@
 (** A typed registry of named counters, gauges and histograms with
-    label sets — {!Sutil.Counters} structured and snapshot-able.
+    label sets, snapshot-able and exposable.
 
     A registry is an explicit value (one per serve engine, one per
     profiler) rather than a process-global table, so long-running

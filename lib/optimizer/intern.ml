@@ -15,22 +15,15 @@
 
 let ids : (Extreq.t, int) Hashtbl.t = Hashtbl.create 256
 let back : (int, Extreq.t) Hashtbl.t = Hashtbl.create 256
-let hits = Sutil.Counters.counter "intern.hits"
-let misses = Sutil.Counters.counter "intern.misses"
 
 let id (extreq : Extreq.t) : int =
   match Hashtbl.find_opt ids extreq with
-  | Some i ->
-      Atomic.incr hits;
-      i
+  | Some i -> i
   | None ->
       let i = Hashtbl.length ids in
-      Atomic.incr misses;
       Hashtbl.add ids extreq i;
       Hashtbl.add back i extreq;
       i
 
 let lookup i = Hashtbl.find_opt back i
 let size () = Hashtbl.length ids
-let hit_count () = Atomic.get hits
-let miss_count () = Atomic.get misses

@@ -19,11 +19,7 @@ val id : Extreq.t -> int
 (** The requirement a given id was assigned to, if any. *)
 val lookup : int -> Extreq.t option
 
-(** Number of distinct requirements interned so far. *)
+(** Number of distinct requirements interned so far.  Every lookup that
+    allocates a fresh id grows it by one, so a run's growth is its
+    miss count. *)
 val size : unit -> int
-
-(** Lookups served from the table / lookups that allocated a fresh id,
-    since program start. *)
-val hit_count : unit -> int
-
-val miss_count : unit -> int

@@ -15,8 +15,10 @@ type t = {
   cluster : Scost.Cluster.t;
   budget : Budget.t;
   mutable phase : int;
+  mutable winner_hits : int;  (* winner-cache hits, both phases *)
   mutable phase2_winner_hits : int;
       (* winner-cache hits while phase = 2: cross-round reuse *)
+  mutable rule_firings : int;  (* exploration rules fired *)
   mutable tainted : bool;
       (* the last [optimize_group]/[log_phys_opt] evaluation was cut by a
          cost bound and its result is not the true winner (see the
@@ -62,7 +64,9 @@ let create ?(ext = default_ext) ?(budget = Budget.unlimited ())
     cluster;
     budget;
     phase = 1;
+    winner_hits = 0;
     phase2_winner_hits = 0;
+    rule_firings = 0;
     tainted = false;
     ext;
   }
@@ -71,10 +75,6 @@ let create ?(ext = default_ext) ?(budget = Budget.unlimited ())
    (1 or 2).  [extreq] must already be normalized -- [optimize_group]
    normalizes once at entry. *)
 let winner_key t extreq = (Intern.id extreq lsl 2) lor t.phase
-
-let winner_hits = Sutil.Counters.counter "optimizer.winner_hits"
-let winner_misses = Sutil.Counters.counter "optimizer.winner_misses"
-let ticks = Sutil.Counters.counter "optimizer.tasks"
 
 (* Build a plan node for [op] over [children] in group [g]. *)
 let mk_plan t (g : Smemo.Memo.group) op children =
@@ -201,13 +201,11 @@ let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
   let key = winner_key t extreq in
   match Hashtbl.find_opt g.Smemo.Memo.winners key with
   | Some w ->
-      Atomic.incr winner_hits;
+      t.winner_hits <- t.winner_hits + 1;
       if t.phase = 2 then t.phase2_winner_hits <- t.phase2_winner_hits + 1;
       t.tainted <- false;
       w.Smemo.Memo.wplan
   | None ->
-      Atomic.incr winner_misses;
-      Atomic.incr ticks;
       Budget.tick t.budget;
       (* span only on the miss path: hits are the memoized fast path and
          would dominate the trace without saying where time went *)
@@ -249,7 +247,7 @@ let rec optimize_group t ?(bound = infinity) (g : Smemo.Memo.group)
    requirement (the body of Algorithm 5). *)
 and log_phys_opt t ?(bound = infinity) (g : Smemo.Memo.group)
     (extreq : Extreq.t) : Plan.t option =
-  Rules.explore t.memo g ~phase:t.phase;
+  t.rule_firings <- t.rule_firings + Rules.explore t.memo g ~phase:t.phase;
   let req = extreq.Extreq.req in
   let bounded = bound < infinity in
   let skipped = ref false in

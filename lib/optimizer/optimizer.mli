@@ -12,9 +12,13 @@ type t = {
   cluster : Scost.Cluster.t;
   budget : Budget.t;
   mutable phase : int;
+  mutable winner_hits : int;
+      (** winner-cache hits in either phase; every miss is one
+          {!Budget.tick}, so misses are [budget.tasks] *)
   mutable phase2_winner_hits : int;
       (** winner-cache hits while [phase = 2] — the cross-round reuse
           the enforcement-slice keying buys (reported by the pipeline) *)
+  mutable rule_firings : int;  (** exploration rules fired ({!Rules.explore}) *)
   mutable tainted : bool;
       (** branch-and-bound honesty flag: true right after a call whose
           result may have been degraded by bound-driven skips and so must

@@ -27,17 +27,11 @@
    misbehaves (optimizer failure, output-count mismatch) falls back to
    executing each miss's cached solo plan. *)
 
-let c_sessions = Sutil.Counters.counter "serve.sessions"
-let c_batches = Sutil.Counters.counter "serve.batches"
-let c_combined = Sutil.Counters.counter "serve.combined_runs"
-let c_cross = Sutil.Counters.counter "serve.cross_script_shares"
-
-(* Every engine also keeps a structured, per-engine [Sobs.Metrics]
-   registry (the process-global serve.* counters above are kept
-   unchanged for existing reports): per-path end-to-end session latency
-   histograms, cache occupancy gauges and per-tenant traffic counters.
-   Per-engine, so tests and embedded engines never see each other's
-   readings — the reason the lifetime counters above cannot serve.
+(* Every count the engine keeps lives in its own [Sobs.Metrics]
+   registry: session, cache and cross-script sharing counters, per-path
+   end-to-end session latency histograms, cache occupancy gauges and
+   per-tenant traffic counters.  Per-engine, so tests and embedded
+   engines never see each other's readings; [totals] reads it.
 
    Invariants the SA046 audit holds a snapshot to:
    every session lands in [serve.sessions_submitted]; failures land in
@@ -70,7 +64,6 @@ type batch_result = {
   combined_cost : float option;  (* DAG cost of the combined plan *)
   solo_cost_sum : float option;  (* sum of the combined members' solo costs *)
   cross_script_shares : int;  (* spools read by >= 2 sessions *)
-  counters : (string * int) list;  (* counter deltas over this flush *)
   wall_s : float;  (* executor wall seconds, summed over runs *)
   attempts : int array list;  (* per-run stage attempts, for trace audit *)
   reports : Cse.Pipeline.report list;
@@ -121,10 +114,28 @@ let submit ?(tenant = default_tenant) t ~id ~text =
 
 let pending_count t = List.length t.pending
 
+(* The occupancy gauges mirror the plan cache and the hit/miss counters;
+   refreshed after everything that changes either (a flush, a catalog
+   bump), so a snapshot always matches the cache. *)
+let refresh_gauges t =
+  let m = t.metrics in
+  Sobs.Metrics.set m "serve.cache_size"
+    (float_of_int (Plan_cache.size t.cache));
+  let hits = Sobs.Metrics.get m "serve.cache_hits" in
+  let misses = Sobs.Metrics.get m "serve.cache_misses" in
+  if hits + misses > 0 then
+    Sobs.Metrics.set m "serve.cache_hit_ratio"
+      (float_of_int hits /. float_of_int (hits + misses))
+
 let catalog_bump t =
   Relalg.Catalog.bump_version t.catalog;
-  Plan_cache.purge_stale t.cache
-    ~current_version:(Relalg.Catalog.version t.catalog)
+  let purged =
+    Plan_cache.purge_stale t.cache
+      ~current_version:(Relalg.Catalog.version t.catalog)
+  in
+  Sobs.Metrics.bump t.metrics "serve.cache_invalidations" ~by:purged;
+  refresh_gauges t;
+  purged
 
 (* A fresh budget per optimization: budgets are mutable task/time
    accumulators, so sharing one across pipeline runs would starve later
@@ -244,10 +255,7 @@ let flush t : batch_result option =
   t.pending <- [];
   if pending = [] then None
   else begin
-    let before = Sutil.Counters.baseline () in
     t.batches <- t.batches + 1;
-    Sutil.Counters.bump c_batches 1;
-    Sutil.Counters.bump c_sessions (List.length pending);
     let version = Relalg.Catalog.version t.catalog in
     let wall = ref 0.0 and attempts = ref [] in
     (* classify in submission order; the first occurrence of a fresh
@@ -271,9 +279,7 @@ let flush t : batch_result option =
               }
             in
             match Plan_cache.find t.cache fp with
-            | Some e ->
-                Plan_cache.note_hit e;
-                mk e true
+            | Some e -> mk e true
             | None ->
                 let report =
                   Cse.Pipeline.run ~config:t.config ?budget:(budget t)
@@ -286,7 +292,6 @@ let flush t : batch_result option =
                     outputs = Normalize.outputs_of norm;
                     catalog_version = version;
                     report;
-                    hits = 0;
                   }
                 in
                 Plan_cache.add t.cache e;
@@ -345,8 +350,9 @@ let flush t : batch_result option =
               let shares =
                 cross_script_spools report.Cse.Pipeline.cse_plan counts
               in
-              Sutil.Counters.bump c_cross shares;
-              Sutil.Counters.bump c_combined 1;
+              Sobs.Metrics.bump t.metrics "serve.cross_script_shares"
+                ~by:shares;
+              Sobs.Metrics.bump t.metrics "serve.combined_runs";
               let per_session =
                 List.map2
                   (fun c slice ->
@@ -423,14 +429,7 @@ let flush t : batch_result option =
                     (result_of ~combined:false c outs)))
         classified
     in
-    (* occupancy gauges reflect the cache as of the end of this flush *)
-    Sobs.Metrics.set t.metrics "serve.cache_size"
-      (float_of_int (Plan_cache.size t.cache));
-    let m_hits = Sobs.Metrics.get t.metrics "serve.cache_hits" in
-    let m_misses = Sobs.Metrics.get t.metrics "serve.cache_misses" in
-    if m_hits + m_misses > 0 then
-      Sobs.Metrics.set t.metrics "serve.cache_hit_ratio"
-        (float_of_int m_hits /. float_of_int (m_hits + m_misses));
+    refresh_gauges t;
     (* distinct optimizations behind this batch, for auditing: one per
        distinct fingerprint (cached plans included), plus the combined
        run *)
@@ -469,7 +468,6 @@ let flush t : batch_result option =
                    0.0 misses));
         cross_script_shares =
           (match combined_info with Some (_, s, _, _) -> s | None -> 0);
-        counters = Sutil.Counters.deltas before;
         wall_s = !wall;
         attempts = List.rev !attempts;
         reports;
@@ -488,13 +486,14 @@ type totals = {
 }
 
 let totals t =
+  let get = Sobs.Metrics.get t.metrics in
   {
-    sessions = Sutil.Counters.get "serve.sessions";
-    batches = Sutil.Counters.get "serve.batches";
-    cache_hits = Sutil.Counters.get "serve.cache_hits";
-    cache_misses = Sutil.Counters.get "serve.cache_misses";
-    cache_invalidations = Sutil.Counters.get "serve.cache_invalidations";
+    sessions = get "serve.sessions_submitted";
+    batches = t.batches;
+    cache_hits = get "serve.cache_hits";
+    cache_misses = get "serve.cache_misses";
+    cache_invalidations = get "serve.cache_invalidations";
     cache_size = Plan_cache.size t.cache;
-    combined_runs = Sutil.Counters.get "serve.combined_runs";
-    cross_script_shares = Sutil.Counters.get "serve.cross_script_shares";
+    combined_runs = get "serve.combined_runs";
+    cross_script_shares = get "serve.cross_script_shares";
   }

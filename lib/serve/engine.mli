@@ -11,14 +11,14 @@
     a single executor run.  Combined plans are never cached — a cache
     entry always describes the script alone.
 
-    [serve.*] counters ({!Sutil.Counters}) record sessions, batches,
-    cache hits/misses/invalidations, combined runs and cross-script
-    spool shares.  Each engine additionally owns a structured
-    {!Sobs.Metrics} registry ({!metrics}): per-path session latency
-    histograms ([serve.session_seconds{path=hit|share|miss}]), cache
-    occupancy gauges ([serve.cache_size], [serve.cache_hit_ratio]) and
-    per-tenant traffic counters ([serve.tenant_*{tenant=...}]) — the
-    registry the [#stats] verb, [--stats-file] exposition and the SA046
+    Each engine keeps its counts in its own {!Sobs.Metrics} registry
+    ({!metrics}): sessions submitted and failed, cache
+    hits/misses/invalidations, combined runs and cross-script spool
+    shares, per-path session latency histograms
+    ([serve.session_seconds{path=hit|share|miss}]), cache occupancy
+    gauges ([serve.cache_size], [serve.cache_hit_ratio]) and per-tenant
+    traffic counters ([serve.tenant_*{tenant=...}]) — the registry
+    {!totals}, the [#stats] verb, [--stats-file] exposition and the SA046
     consistency audit read. *)
 
 type status =
@@ -45,7 +45,6 @@ type batch_result = {
   solo_cost_sum : float option;
       (** what the combined members would have cost run separately *)
   cross_script_shares : int;  (** spools read by two or more sessions *)
-  counters : (string * int) list;  (** counter deltas over this flush *)
   wall_s : float;  (** executor wall seconds, summed over the runs *)
   attempts : int array list;
       (** per-run stage-attempt arrays, for the trace audit *)
@@ -78,9 +77,10 @@ val create :
 
 val cache : t -> Plan_cache.t
 
-(** The engine's structured metrics registry (latency histograms, cache
-    gauges, per-tenant counters); per-engine, unlike the process-global
-    [serve.*] counters. *)
+(** The engine's metrics registry (session and cache counters, latency
+    histograms, cache gauges, per-tenant counters).  The cache gauges
+    are refreshed after every flush and catalog bump, so they always
+    match {!cache}. *)
 val metrics : t -> Sobs.Metrics.t
 
 (** Queue a script; nothing runs until {!flush}.  [tenant] (default
@@ -91,7 +91,8 @@ val submit : ?tenant:string -> t -> id:string -> text:string -> unit
 val pending_count : t -> int
 
 (** Advance the catalog's statistics epoch and purge now-stale cache
-    entries; returns the number purged. *)
+    entries; returns the number purged (booked as
+    [serve.cache_invalidations]). *)
 val catalog_bump : t -> int
 
 (** Process everything pending as one batch; [None] if nothing was
@@ -109,5 +110,6 @@ type totals = {
   cross_script_shares : int;
 }
 
-(** Lifetime figures, read from the [serve.*] counters and the cache. *)
+(** This engine's lifetime figures, read from its {!metrics} registry,
+    its batch count and its cache. *)
 val totals : t -> totals

@@ -340,26 +340,47 @@ let test_intern_ids () =
   Alcotest.(check bool) "table covers the interned ids" true
     (Sopt.Intern.size () >= List.length reqs)
 
-(* The per-run counter deltas surfaced in the pipeline report: every
-   budget tick is mirrored in the optimizer.tasks counter, and winner /
-   intern lookups are counted. *)
+(* The per-run work counters surfaced in the pipeline report: winner and
+   intern lookups are counted, misses are the interning table's growth,
+   and the named view derives tasks, winner misses and intern hits from
+   the typed fields. *)
 let test_report_counters () =
-  let r =
+  let run () =
     Cse.Pipeline.run
       ~catalog:(Relalg.Catalog.default ())
       Sworkload.Paper_scripts.s1
   in
-  let get n =
-    Option.value ~default:0 (List.assoc_opt n r.Cse.Pipeline.counters)
+  let size_before = Sopt.Intern.size () in
+  let r = run () in
+  let tasks = r.Cse.Pipeline.conventional_tasks + r.Cse.Pipeline.cse_tasks in
+  let get r n =
+    Option.value ~default:0 (List.assoc_opt n (Cse.Pipeline.counters r))
   in
-  Alcotest.(check int) "tasks counter mirrors the budget ticks"
-    (r.Cse.Pipeline.conventional_tasks + r.Cse.Pipeline.cse_tasks)
-    (get "optimizer.tasks");
   Alcotest.(check bool) "winner hits counted" true
-    (get "optimizer.winner_hits" > 0);
-  Alcotest.(check bool) "winner misses mirror the tasks" true
-    (get "optimizer.winner_misses" = get "optimizer.tasks");
-  Alcotest.(check bool) "intern lookups counted" true (get "intern.hits" > 0)
+    (r.Cse.Pipeline.winner_hits > 0);
+  Alcotest.(check bool) "rule firings counted" true
+    (r.Cse.Pipeline.rule_firings > 0);
+  Alcotest.(check int) "intern misses are the table's growth"
+    (Sopt.Intern.size () - size_before)
+    r.Cse.Pipeline.intern_misses;
+  Alcotest.(check int) "tasks counter mirrors the budget ticks" tasks
+    (get r "optimizer.tasks");
+  Alcotest.(check int) "winner misses mirror the tasks" tasks
+    (get r "optimizer.winner_misses");
+  Alcotest.(check bool) "intern lookups counted" true
+    (get r "intern.hits" > 0);
+  Alcotest.(check int) "every lookup is an intern hit or miss"
+    (r.Cse.Pipeline.winner_hits + tasks)
+    (get r "intern.hits" + get r "intern.misses");
+  (* a rerun interns nothing new and repeats the same optimizer work *)
+  let again = run () in
+  Alcotest.(check int) "rerun interns nothing" 0
+    again.Cse.Pipeline.intern_misses;
+  Alcotest.(check (list (pair string int))) "rerun counts the same work"
+    (List.remove_assoc "intern.misses"
+       (List.remove_assoc "intern.hits" (Cse.Pipeline.counters r)))
+    (List.remove_assoc "intern.misses"
+       (List.remove_assoc "intern.hits" (Cse.Pipeline.counters again)))
 
 (* An un-enforced and an enforced variant of the same conventional
    requirement must never share an id (rounds with different assignments

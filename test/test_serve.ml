@@ -3,8 +3,8 @@
    catalog bumps), cross-script sharing over combined memos with
    byte-identical outputs, and the session protocol + stream generator.
 
-   Counters are process-global, so assertions read per-batch results
-   and cache entries, never the lifetime totals. *)
+   Every engine keeps its counts in its own metrics registry, so each
+   test reads its engine's lifetime totals without seeing the others. *)
 
 module N = Sserve.Normalize
 module E = Sserve.Engine
@@ -304,11 +304,12 @@ let hist_count rows name labels =
   | Some { Sobs.Metrics.value = Sobs.Metrics.Dist s; _ } -> s.Sobs.Hist.count
   | _ -> -1
 
-(* Drive every session path once — miss, hit, failure, combined share —
-   under two tenants, then hold the registry to its accounting story:
-   every served session in exactly one latency path, hits+misses
-   covering submitted-failed, tenant traffic attributed, and the SA046
-   audit finding nothing. *)
+(* Drive every session path once — miss, hit, parse and bind failures,
+   combined share — under two tenants, then hold the registry to its
+   accounting story: every served session in exactly one latency path,
+   hits+misses covering submitted-failed, tenant traffic attributed, the
+   engine's totals agreeing with its registry, and the SA046 audit
+   finding nothing, also after a trailing catalog bump. *)
 let test_metrics_accounting () =
   let a, b = shared_pair in
   let e = fresh_engine () in
@@ -316,13 +317,19 @@ let test_metrics_accounting () =
   ignore (flush_exn e);
   E.submit ~tenant:"blue" e ~id:"dup" ~text:plain;
   E.submit ~tenant:"blue" e ~id:"bad" ~text:"THIS IS NOT A SCRIPT";
+  (* parses, then fails to bind: a failure, never a cache miss *)
+  E.submit e ~id:"unbound"
+    ~text:
+      "R = EXTRACT A,B FROM \"serve_log0\" USING LogExtractor;\n\
+       S = SELECT Nope FROM R;\n\
+       OUTPUT S TO \"serve_unbound\";\n";
   ignore (flush_exn e);
   E.submit e ~id:"xa" ~text:a;
   E.submit e ~id:"xb" ~text:b;
-  ignore (flush_exn e);
+  let last = flush_exn e in
   let rows = metric_rows e in
-  Alcotest.(check int) "submitted" 5 (count rows "serve.sessions_submitted" []);
-  Alcotest.(check int) "failed" 1 (count rows "serve.sessions_failed" []);
+  Alcotest.(check int) "submitted" 6 (count rows "serve.sessions_submitted" []);
+  Alcotest.(check int) "failed" 2 (count rows "serve.sessions_failed" []);
   Alcotest.(check int) "hits" 1 (count rows "serve.cache_hits" []);
   Alcotest.(check int) "misses" 3 (count rows "serve.cache_misses" []);
   Alcotest.(check int) "hit-path latency observations" 1
@@ -335,7 +342,7 @@ let test_metrics_accounting () =
     (count rows "serve.tenant_submitted" [ ("tenant", "blue") ]);
   Alcotest.(check int) "blue tenant served" 1
     (count rows "serve.tenant_served" [ ("tenant", "blue") ]);
-  Alcotest.(check int) "default tenant submitted" 3
+  Alcotest.(check int) "default tenant submitted" 4
     (count rows "serve.tenant_submitted" [ ("tenant", "default") ]);
   Alcotest.(check bool) "served rows attributed" true
     (count rows "serve.tenant_rows" [ ("tenant", "default") ] > 0);
@@ -350,11 +357,39 @@ let test_metrics_accounting () =
         (float_of_int (PC.size (E.cache e)))
         v
   | _ -> Alcotest.fail "no serve.cache_size gauge");
-  Alcotest.(check (list string)) "SA046 clean" []
-    (List.map Sanalysis.Diag.to_string
-       (Sanalysis.Serve_audit.run
-          ~cache_entries:(PC.size (E.cache e))
-          rows))
+  let sa046 () =
+    List.map Sanalysis.Diag.to_string
+      (Sanalysis.Serve_audit.run
+         ~cache_entries:(PC.size (E.cache e))
+         (metric_rows e))
+  in
+  Alcotest.(check (list string)) "SA046 clean" [] (sa046 ());
+  let totals (t : E.totals) =
+    [
+      t.E.sessions;
+      t.E.batches;
+      t.E.cache_hits;
+      t.E.cache_misses;
+      t.E.cache_invalidations;
+      t.E.cache_size;
+      t.E.combined_runs;
+      t.E.cross_script_shares;
+    ]
+  in
+  Alcotest.(check (list int)) "totals read this engine's registry"
+    [ 6; 3; 1; 3; 0; PC.size (E.cache e); 1; last.E.cross_script_shares ]
+    (totals (E.totals e));
+  (* a trailing catalog bump empties the cache; the gauges follow *)
+  let purged = E.catalog_bump e in
+  Alcotest.(check int) "bump purges every entry" 3 purged;
+  Alcotest.(check (list string)) "SA046 clean after a catalog bump" []
+    (sa046 ());
+  let t = E.totals e in
+  Alcotest.(check (list int)) "bump booked as invalidations" [ purged; 0 ]
+    [ t.E.cache_invalidations; t.E.cache_size ];
+  Alcotest.(check (list int)) "a new engine starts from zero"
+    [ 0; 0; 0; 0; 0; 0; 0; 0 ]
+    (totals (E.totals (fresh_engine ())))
 
 let test_generator_stream () =
   let stream = Sworkload.Session_gen.generate ~seed:3 ~scripts:8 () in

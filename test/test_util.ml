@@ -93,65 +93,6 @@ let prop_subsets_subset =
         (fun s -> List.for_all (fun x -> List.mem x l) s)
         (Sutil.Combi.subsets l))
 
-let test_counters_atomic_hammer () =
-  (* 4 domains bumping one shared counter concurrently: the atomic cells
-     must not lose a single increment *)
-  let c = Sutil.Counters.counter "test.hammer" in
-  let before = Sutil.Counters.get "test.hammer" in
-  let per_domain = 25_000 in
-  let domains =
-    List.init 4 (fun _ ->
-        Domain.spawn (fun () ->
-            for _ = 1 to per_domain do
-              Sutil.Counters.bump c 1
-            done))
-  in
-  List.iter Domain.join domains;
-  Alcotest.(check int) "exact total" (before + (4 * per_domain))
-    (Sutil.Counters.get "test.hammer")
-
-let test_counters_since_union () =
-  (* [since] diffs by name over the union of the two snapshots: counters
-     registered after the snapshot count from zero, unchanged counters
-     are absent, and a reset in between yields a negative delta *)
-  let before = Sutil.Counters.snapshot () in
-  let c = Sutil.Counters.counter "test.since_union" in
-  Sutil.Counters.bump c 3;
-  let d = Sutil.Counters.since before in
-  Alcotest.(check (option int)) "counter born after snapshot is reported"
-    (Some 3)
-    (List.assoc_opt "test.since_union" d);
-  Alcotest.(check (list (pair string int))) "no change means empty delta" []
-    (Sutil.Counters.since (Sutil.Counters.snapshot ()));
-  let before = Sutil.Counters.snapshot () in
-  Sutil.Counters.reset_all ();
-  Alcotest.(check (option int)) "reset shows as negative delta" (Some (-3))
-    (List.assoc_opt "test.since_union" (Sutil.Counters.since before))
-
-let test_counters_baseline_reset_safe () =
-  (* [baseline]/[deltas] are the reset-safe variant of
-     [snapshot]/[since]: a [reset_all] between the two restarts every
-     counter from zero and the baseline is ignored for them, so deltas
-     never go negative across sequenced runs in one process *)
-  let c = Sutil.Counters.counter "test.baseline_reset" in
-  Sutil.Counters.bump c 5;
-  let b = Sutil.Counters.baseline () in
-  Sutil.Counters.bump c 2;
-  Alcotest.(check (option int)) "plain delta" (Some 2)
-    (List.assoc_opt "test.baseline_reset" (Sutil.Counters.deltas b));
-  let b = Sutil.Counters.baseline () in
-  Sutil.Counters.reset_all ();
-  (* counter restarted from zero: baseline value (7) must not be
-     subtracted — [since] would report -7 here *)
-  Alcotest.(check (option int)) "reset alone yields no delta" None
-    (List.assoc_opt "test.baseline_reset" (Sutil.Counters.deltas b));
-  Sutil.Counters.bump c 3;
-  let d = Sutil.Counters.deltas b in
-  Alcotest.(check (option int)) "post-reset bumps count from zero" (Some 3)
-    (List.assoc_opt "test.baseline_reset" d);
-  Alcotest.(check bool) "no negative delta anywhere" true
-    (List.for_all (fun (_, v) -> v > 0) d)
-
 let test_pool_parallel_for () =
   Sutil.Pool.with_pool ~workers:4 (fun pool ->
       let n = 1000 in
@@ -213,15 +154,6 @@ let () =
           Alcotest.test_case "take/drop" `Quick test_take_drop;
           prop_take_drop;
           prop_subsets_subset;
-        ] );
-      ( "counters",
-        [
-          Alcotest.test_case "4-domain hammer" `Quick
-            test_counters_atomic_hammer;
-          Alcotest.test_case "since diffs over union" `Quick
-            test_counters_since_union;
-          Alcotest.test_case "baseline survives reset_all" `Quick
-            test_counters_baseline_reset_safe;
         ] );
       ( "pool",
         [
