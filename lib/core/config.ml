@@ -21,7 +21,8 @@ type t = {
          cost (see DESIGN.md, round pruning) *)
   use_round_bound : bool;
       (* branch-and-bound early exit: abort a re-optimization round once
-         its accumulated lower bound exceeds the incumbent round cost *)
+         its accumulated lower bound exceeds the incumbent round cost, and
+         screen rounds whose lower bound loses before re-optimizing *)
   use_slice_reuse : bool;
       (* key pinned-shared-group winners on the enforcement slice visible
          below the group, so unrelated assignment changes between rounds

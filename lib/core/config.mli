@@ -19,7 +19,10 @@ type t = {
           enforcement cost *)
   use_round_bound : bool;
       (** branch-and-bound early exit: abort a round once its accumulated
-          lower bound exceeds the incumbent round cost *)
+          lower bound exceeds the incumbent round cost, and screen each
+          round before re-optimizing the LCA — a round whose pinned base
+          plans plus region floor already exceed the bound is booked as
+          aborted without running *)
   use_slice_reuse : bool;
       (** key pinned-shared-group winners on the enforcement slice visible
           below the group (cross-round winner reuse) *)

@@ -17,7 +17,13 @@ open Sopt
          Sort(C,B) above the spool in Figure 8(b));
        * at an LCA, one re-optimization round per property combination is
          executed and the cheapest result kept (Section VIII controls how
-         combinations are enumerated). *)
+         combinations are enumerated).  Under the round bound, a round is
+         first screened: the pinned base plans every plan of the round
+         must contain, plus a floor for what the plan spends outside
+         spools, give a lower bound on its cost, and a round whose lower
+         bound already loses to the incumbent is booked as aborted
+         without re-optimizing the LCA (DESIGN.md, round pruning,
+         layer 2). *)
 
 let log_src = Logs.Src.create "scopecse.phase2" ~doc:"CSE re-optimization"
 
@@ -44,12 +50,16 @@ type state = {
   mutable rounds_pruned : int;
       (* sequential rounds removed by dominance filtering of candidates *)
   mutable rounds_aborted_bound : int;
-      (* rounds cut short by the branch-and-bound incumbent check *)
+      (* rounds cut short by the branch-and-bound incumbent check or
+         screened out before re-optimization *)
   mutable phase2_winner_reuse_hits : int;
       (* winner-cache hits during phase 2 (cross-round reuse) *)
   mutable pruned_props : (int * (Reqprops.t * Reqprops.t) list) list;
       (* shared group -> (dropped, kept dominator) pairs, for SA060 *)
   mutable lca_sites : int;
+  floors : (int * Reqprops.t, float) Hashtbl.t;
+      (* round-screen floor per (group, requirement); enforcement-
+         independent, so shared by every LCA call of the optimization *)
 }
 
 let create config =
@@ -65,6 +75,7 @@ let create config =
     phase2_winner_reuse_hits = 0;
     pruned_props = [];
     lca_sites = 0;
+    floors = Hashtbl.create 16;
   }
 
 let shared_info state =
@@ -121,9 +132,107 @@ let rec compensate (t : Optimizer.t) (g : Smemo.Memo.group)
     in
     Optimizer.cheapest t candidates
 
+(* The requirement a pinned shared group [s]'s base plan is optimized
+   under: the pinned properties, plus the entries of [enforce] (the
+   enforcement map arriving at [s]) other than [s]'s own.  Layer 3,
+   cross-round winner reuse: also drop entries for shared groups that are
+   not below [s] — they are unreachable from here (every descendant
+   prunes to its own shared_below anyway), so they cannot influence the
+   plan, yet they differ between adjacent mixed-radix rounds and would
+   fragment the winner cache into one cold entry per round.  [intercept]
+   and the round screen both build the base plan's winner key here, so
+   the screen's fetch is the round's memoized base. *)
+let pinned_inner state s pinned enforce =
+  let si = shared_info state in
+  let keep =
+    if
+      state.config.Config.use_slice_reuse && Hashtbl.mem si.Shared_info.info s
+    then begin
+      let below = Shared_info.shared_below si s in
+      fun (gid, _) -> gid <> s && List.mem gid below
+    end
+    else fun (gid, _) -> gid <> s
+  in
+  Extreq.normalize
+    { Extreq.req = pinned; enforce = List.filter keep enforce }
+
+(* Round screen, the assignment-independent part: a lower bound on what
+   any round's plan of [g] under [req] spends outside spools.  Every
+   group's plan is one of its implementation alternatives or an enforcer
+   over itself under a weaker requirement, whatever the enforcement map;
+   so the floor takes, per group, the cheapest alternative with each
+   operator priced at full input parallelism ([Costmodel.op_cost_floor]).
+   It stops at shared groups (their productions and reads are the bases'
+   part, or not counted at all) and at groups with no shared group below:
+   those see no enforcement ([child_extreq] prunes it all), so their plans
+   are spool-free, identical in every round and already memoized — their
+   exact cost is used.  A group reached along several paths is counted
+   once per path, as the plan tree counts it.  Nothing here depends on the
+   enforcement map, so floors are memoized for the whole optimization.
+   0 when no alternative is feasible. *)
+let region_floor state (t : Optimizer.t) (g : Smemo.Memo.group)
+    (req : Reqprops.t) ~self =
+  let si = shared_info state in
+  let cluster = t.Optimizer.cluster in
+  let memo = t.Optimizer.memo in
+  let rec group_floor (x : Smemo.Memo.group) req =
+    let id = x.Smemo.Memo.id in
+    if x.Smemo.Memo.shared then 0.0
+    else if
+      Hashtbl.mem si.Shared_info.info id && Shared_info.shared_below si id = []
+    then
+      match self x (Extreq.plain req) with
+      | Some p -> Optimizer.plan_cost t p
+      | None -> infinity
+    else alternatives x req
+  and alternatives x req =
+    let key = (x.Smemo.Memo.id, req) in
+    match Hashtbl.find_opt state.floors key with
+    | Some f -> f
+    | None ->
+        let stats = x.Smemo.Memo.stats in
+        let impl =
+          List.fold_left
+            (fun acc (e : Smemo.Memo.mexpr) ->
+              let children =
+                List.map (Smemo.Memo.group memo) e.Smemo.Memo.children
+              in
+              let inputs =
+                List.map (fun (c : Smemo.Memo.group) -> c.Smemo.Memo.stats)
+                  children
+              in
+              List.fold_left
+                (fun acc (alt : Impl.alt) ->
+                  let below =
+                    List.fold_left2
+                      (fun sum c creq -> sum +. group_floor c creq)
+                      0.0 children alt.Impl.child_reqs
+                  in
+                  Float.min acc
+                    (Scost.Costmodel.op_cost_floor cluster alt.Impl.op inputs
+                       ~out:stats
+                    +. below))
+                acc (Impl.alternatives e req))
+            infinity (Smemo.Memo.exprs x)
+        in
+        let f =
+          List.fold_left
+            (fun acc (alt : Enforcers.alt) ->
+              Float.min acc
+                (Scost.Costmodel.op_cost_floor cluster alt.Enforcers.op
+                   [ stats ] ~out:stats
+                +. alternatives x alt.Enforcers.inner))
+            impl (Enforcers.alternatives req)
+        in
+        Hashtbl.replace state.floors key f;
+        f
+  in
+  let f = alternatives g req in
+  if Float.is_finite f then f else 0.0
+
 (* Algorithm 4, lines 4-12: all re-optimization rounds at an LCA. *)
 let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
-    (extreq : Extreq.t) (to_assign : int list)
+    (extreq : Extreq.t) (to_assign : int list) ~self
     ~(log_phys_opt :
        ?bound:float -> Smemo.Memo.group -> Extreq.t -> Plan.t option) =
   state.lca_sites <- state.lca_sites + 1;
@@ -206,6 +315,62 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
       candidates := [ p ];
       if use_bound then incumbent := Scost.Dagcost.cost t.Optimizer.cluster p
   | None -> ());
+  (* round screen (layer 2, before re-optimization).  Every consumer of a
+     pinned shared group shares its one base plan, so each round's plan
+     contains the base of every assigned group; those below another
+     assigned group are reached through that group's base, so only the
+     outermost ones are added (adding a nested one too would charge a
+     read the plan may not have).  The region floor does not depend on
+     the assignment: computed once, never per round. *)
+  let region =
+    if use_bound then region_floor state t g extreq.Extreq.req ~self else 0.0
+  in
+  let outermost =
+    let assigned =
+      List.concat_map
+        (List.filter_map (fun (s, props) ->
+             if props = [] then None else Some s))
+        with_props
+    in
+    let below =
+      List.map (fun s -> (s, Shared_info.shared_below si s)) assigned
+    in
+    List.filter_map
+      (fun (s, s_below) ->
+        if List.exists (fun (s', b) -> s' <> s && List.mem s b) below then None
+        else Some (s, s_below))
+      below
+  in
+  (* [true] when the round's lower bound provably exceeds [bound]; stops
+     fetching base plans as soon as it does.  An infeasible base leaves
+     the round to run (and fail) as before. *)
+  let screened (ext' : Extreq.t) bound =
+    let lb = Optimizer.Lower_bound.create () in
+    let rec go = function
+      | [] -> false
+      | (s, s_below) :: rest -> (
+          match Extreq.enforcement ext' s with
+          | None -> go rest
+          | Some pinned -> (
+              (* the map arriving at [s]: what [child_extreq] leaves of
+                 the LCA's map on any path down to it *)
+              let arriving =
+                List.filter
+                  (fun (gid, _) -> List.mem gid s_below)
+                  ext'.Extreq.enforce
+              in
+              match
+                self
+                  (Smemo.Memo.group t.Optimizer.memo s)
+                  (pinned_inner state s pinned arriving)
+              with
+              | None -> false
+              | Some base ->
+                  Optimizer.Lower_bound.add t.Optimizer.cluster lb base;
+                  region +. lb.Optimizer.Lower_bound.sum > bound || go rest))
+    in
+    bound < infinity && (region > bound || go outermost)
+  in
   let traced = Sobs.Trace.enabled () in
   let continue_ = ref true in
   while !continue_ do
@@ -229,16 +394,21 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
                 ]
               "ReoptimizeRound";
           let rt0 = if traced then Unix.gettimeofday () else 0.0 in
-          let finish cost =
+          let finish ?(screen = false) cost =
             if traced then begin
               Sobs.Hist.observe round_seconds (Unix.gettimeofday () -. rt0);
               Sobs.Trace.end_span ~pid:Sobs.Trace.pid_phase2
-                ~args:[ ("cost", Sobs.Trace.Float cost) ]
+                ~args:
+                  [
+                    ("cost", Sobs.Trace.Float cost);
+                    ("screened", Sobs.Trace.Int (Bool.to_int screen));
+                  ]
                 "ReoptimizeRound"
             end
           in
-          let result = log_phys_opt ~bound g ext' in
-          if t.Optimizer.tainted then begin
+          let screen = screened ext' bound in
+          let result = if screen then None else log_phys_opt ~bound g ext' in
+          if screen || t.Optimizer.tainted then begin
             (* layer 2 abort: the round's true cost provably exceeds the
                incumbent (or class best) by more than the slack, so its
                plan can never be chosen; report infinity so the class
@@ -246,11 +416,13 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
             Budget.note_round_aborted t.Optimizer.budget;
             state.rounds_aborted_bound <- state.rounds_aborted_bound + 1;
             Log.debug (fun m ->
-                m "round %d at LCA %d: {%s} aborted (bound %.6g)"
+                m "round %d at LCA %d: {%s} %s (bound %.6g)"
                   (Rounds.generated gen) g.Smemo.Memo.id
-                  (pp_assignment assignment) bound);
+                  (pp_assignment assignment)
+                  (if screen then "screened" else "aborted")
+                  bound);
             Rounds.report gen ~cost:infinity;
-            finish infinity
+            finish ~screen infinity
           end
           else begin
             Budget.note_round_executed t.Optimizer.budget;
@@ -311,30 +483,8 @@ let intercept state (t : Optimizer.t) (g : Smemo.Memo.group)
                 ("props", Sobs.Trace.Str (Fmt.str "%a" Reqprops.pp pinned));
               ]
             "pinned.shared";
-        let keep =
-          (* layer 3, cross-round winner reuse: beyond the group's own
-             entry, drop enforcement entries for shared groups that are
-             not below this one — they are unreachable from here (every
-             descendant prunes to its own shared_below anyway), so they
-             cannot influence the plan, yet they differ between adjacent
-             mixed-radix rounds and would fragment the winner cache into
-             one cold entry per round *)
-          let si = shared_info state in
-          if
-            state.config.Config.use_slice_reuse
-            && Hashtbl.mem si.Shared_info.info g.Smemo.Memo.id
-          then begin
-            let below = Shared_info.shared_below si g.Smemo.Memo.id in
-            fun (gid, _) -> gid <> g.Smemo.Memo.id && List.mem gid below
-          end
-          else fun (gid, _) -> gid <> g.Smemo.Memo.id
-        in
         let inner =
-          Extreq.normalize
-            {
-              Extreq.req = pinned;
-              enforce = List.filter keep extreq.Extreq.enforce;
-            }
+          pinned_inner state g.Smemo.Memo.id pinned extreq.Extreq.enforce
         in
         Some
           (match self g inner with
@@ -351,7 +501,7 @@ let intercept state (t : Optimizer.t) (g : Smemo.Memo.group)
             lcas
         in
         if to_assign = [] then None
-        else Some (run_rounds state t g extreq to_assign ~log_phys_opt)
+        else Some (run_rounds state t g extreq to_assign ~self ~log_phys_opt)
 
 let make_ext state : Optimizer.ext =
   {

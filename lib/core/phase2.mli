@@ -10,7 +10,9 @@
       top (the Sort above the spool in Figure 8(b));
     - at an LCA, one round per property combination runs and the cheapest
       result is kept, subject to the budget (Section VIII controls
-      enumeration). *)
+      enumeration); under the round bound, a round whose pinned base plans
+      plus region floor already lose to the incumbent is screened out
+      before the LCA is re-optimized. *)
 
 type state = {
   config : Config.t;
@@ -22,12 +24,16 @@ type state = {
   mutable rounds_pruned : int;
       (** sequential rounds removed by dominance filtering *)
   mutable rounds_aborted_bound : int;
-      (** rounds cut short by the branch-and-bound incumbent check *)
+      (** rounds cut short by the branch-and-bound incumbent check or
+          screened out before re-optimization *)
   mutable phase2_winner_reuse_hits : int;
       (** winner-cache hits during phase 2 (cross-round reuse) *)
   mutable pruned_props : (int * (Sphys.Reqprops.t * Sphys.Reqprops.t) list) list;
       (** shared group -> (dropped, kept dominator) pairs (SA060 audit) *)
   mutable lca_sites : int;
+  floors : (int * Sphys.Reqprops.t, float) Hashtbl.t;
+      (** round-screen floor per (group, requirement), memoized for the
+          whole optimization *)
 }
 
 val create : Config.t -> state

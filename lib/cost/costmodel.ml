@@ -30,8 +30,10 @@ let volume (s : Slogical.Stats.t) = s.Slogical.Stats.rows *. s.Slogical.Stats.ro
 
 let rows (s : Slogical.Stats.t) = s.Slogical.Stats.rows
 
-(* Cost of [op] given child plans and the output stats of its group. *)
-let op_cost (cluster : Cluster.t) (op : Physop.t) (children : Plan.t list)
+(* Cost of [op] over [children] given the output stats of its group;
+   [stats] and [par] read a child's estimated stats and the effective
+   parallelism of its stream. *)
+let cost_over (cluster : Cluster.t) ~stats ~par (op : Physop.t) children
     ~(out : Slogical.Stats.t) : float =
   let c = cluster in
   let m = float_of_int c.Cluster.machines in
@@ -40,41 +42,40 @@ let op_cost (cluster : Cluster.t) (op : Physop.t) (children : Plan.t list)
     | [ x ] -> x
     | _ -> invalid_arg "Costmodel.op_cost: expected one child"
   in
-  let par x = effective_parallelism c x in
   match op with
   | Physop.P_extract _ ->
       (* read the file in parallel across all machines *)
       (volume out *. c.read_byte /. m) +. (c.partition_overhead *. m)
   | Physop.P_filter _ | Physop.P_project _ ->
       let x = child () in
-      rows x.Plan.stats *. c.cpu_row /. par x
+      rows (stats x) *. c.cpu_row /. par x
   | Physop.P_stream_agg _ ->
       let x = child () in
-      rows x.Plan.stats *. c.agg_row /. par x
+      rows (stats x) *. c.agg_row /. par x
   | Physop.P_hash_agg _ ->
       let x = child () in
-      rows x.Plan.stats *. c.hash_agg_row /. par x
+      rows (stats x) *. c.hash_agg_row /. par x
   | Physop.P_merge_join _ -> (
       match children with
       | [ l; r ] ->
           let p = Float.min (par l) (par r) in
-          (rows l.Plan.stats +. rows r.Plan.stats) *. c.join_row /. p
+          (rows (stats l) +. rows (stats r)) *. c.join_row /. p
       | _ -> invalid_arg "join expects two children")
   | Physop.P_hash_join _ -> (
       match children with
       | [ l; r ] ->
           let p = Float.min (par l) (par r) in
-          (rows l.Plan.stats +. rows r.Plan.stats) *. c.hash_join_row /. p
+          (rows (stats l) +. rows (stats r)) *. c.hash_join_row /. p
       | _ -> invalid_arg "join expects two children")
   | Physop.P_union_all -> 0.0
   | Physop.P_spool ->
       (* producer side: materialize once.  Consumer reads are charged by
          [Dagcost.spool_read_cost] per consumer. *)
       let x = child () in
-      volume x.Plan.stats *. c.spool_write_byte /. par x
+      volume (stats x) *. c.spool_write_byte /. par x
   | Physop.P_output _ ->
       let x = child () in
-      volume x.Plan.stats *. c.write_byte /. par x
+      volume (stats x) *. c.write_byte /. par x
   | Physop.P_sequence -> 0.0
   | Physop.P_exchange { cols } | Physop.P_merge_exchange { cols } ->
       let x = child () in
@@ -84,21 +85,34 @@ let op_cost (cluster : Cluster.t) (op : Physop.t) (children : Plan.t list)
       in
       let merge =
         match op with
-        | Physop.P_merge_exchange _ -> rows x.Plan.stats *. c.merge_row /. out_par
+        | Physop.P_merge_exchange _ -> rows (stats x) *. c.merge_row /. out_par
         | _ -> 0.0
       in
-      (volume x.Plan.stats *. c.net_byte /. m)
+      (volume (stats x) *. c.net_byte /. m)
       +. (c.partition_overhead *. out_par)
       +. merge
   | Physop.P_sort _ ->
       let x = child () in
       let p = par x in
-      let n = Float.max 2.0 (rows x.Plan.stats /. p) in
-      rows x.Plan.stats *. c.sort_row *. Float.log2 n /. p
+      let n = Float.max 2.0 (rows (stats x) /. p) in
+      rows (stats x) *. c.sort_row *. Float.log2 n /. p
   | Physop.P_gather ->
       let x = child () in
-      (volume x.Plan.stats *. c.net_byte /. m)
-      +. (rows x.Plan.stats *. c.merge_row)
+      (volume (stats x) *. c.net_byte /. m)
+      +. (rows (stats x) *. c.merge_row)
+
+let op_cost (cluster : Cluster.t) (op : Physop.t) (children : Plan.t list)
+    ~out =
+  cost_over cluster
+    ~stats:(fun (x : Plan.t) -> x.Plan.stats)
+    ~par:(effective_parallelism cluster) op children ~out
+
+(* Every input term at the full machine count: no delivered partitioning
+   spreads an input wider ([key_parallelism] never exceeds [machines]), and
+   every parallel term shrinks as the parallelism grows. *)
+let op_cost_floor (cluster : Cluster.t) (op : Physop.t) inputs ~out =
+  let m = float_of_int cluster.Cluster.machines in
+  cost_over cluster ~stats:Fun.id ~par:(fun _ -> m) op inputs ~out
 
 (* Cost charged to each *additional* use of a spooled result. *)
 let spool_read_cost (cluster : Cluster.t) (spool : Plan.t) =

@@ -14,6 +14,16 @@ val effective_parallelism : Cluster.t -> Sphys.Plan.t -> float
 val op_cost :
   Cluster.t -> Sphys.Physop.t -> Sphys.Plan.t list -> out:Slogical.Stats.t -> float
 
+(** The least {!op_cost} of an operator over inputs with the given stats,
+    whatever partitioning the inputs deliver: every input at full
+    parallelism. *)
+val op_cost_floor :
+  Cluster.t ->
+  Sphys.Physop.t ->
+  Slogical.Stats.t list ->
+  out:Slogical.Stats.t ->
+  float
+
 (** Cost charged per use of a spooled result (the producer's write cost is
     in the spool's [op_cost]). *)
 val spool_read_cost : Cluster.t -> Sphys.Plan.t -> float

@@ -8,8 +8,17 @@ type t = { req : Reqprops.t; enforce : (int * Reqprops.t) list }
 
 let plain req = { req; enforce = [] }
 
+(* Enforcement maps hold one entry per group, and most arrive already in
+   group order (they are built from normalized maps), so the sort is
+   skipped when the group ids already strictly increase: that is exactly
+   the list [sort_uniq] would return. *)
 let normalize t =
-  { t with enforce = List.sort_uniq Stdlib.compare t.enforce }
+  let rec ordered = function
+    | (a, _) :: ((b, _) :: _ as rest) -> a < b && ordered rest
+    | _ -> true
+  in
+  if ordered t.enforce then t
+  else { t with enforce = List.sort_uniq Stdlib.compare t.enforce }
 
 let enforcement t gid = List.assoc_opt gid t.enforce
 

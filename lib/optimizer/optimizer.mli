@@ -79,6 +79,24 @@ val cheapest : t -> Sphys.Plan.t list -> Sphys.Plan.t option
     properties satisfy the caller's requirement. *)
 val valid_candidate : Sphys.Reqprops.t -> Sphys.Plan.t -> bool
 
+(** Incremental spool-deduplicating lower bound over a set of subplans of
+    one enclosing plan, mirroring {!Scost.Dagcost.cached_cost}: each added
+    plan contributes its spool-free region cost plus a read per spool
+    reference, and each distinct spool value (physical identity) its
+    production region once across everything added.  So [sum] never
+    exceeds the cost of a plan that contains every added subplan in
+    disjoint places — a naive per-plan sum would count a shared spool's
+    production twice. *)
+module Lower_bound : sig
+  type acc = {
+    mutable sum : float;
+    produced : (int, Sphys.Plan.t list) Hashtbl.t;
+  }
+
+  val create : unit -> acc
+  val add : Scost.Cluster.t -> acc -> Sphys.Plan.t -> unit
+end
+
 (** OptimizeGroup (Algorithm 2): best plan of a group under an extended
     requirement, memoized per phase.  [?bound] (default infinity: off)
     enables branch-and-bound: alternatives whose deduplicated

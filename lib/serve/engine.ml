@@ -151,7 +151,7 @@ let budget t =
 let describe = function
   | Failure m -> m
   | Cse.Pipeline.No_plan m -> m
-  | Slang.Parser.Error (m, _) -> m
+  | Slang.Lexer.Error (m, _) | Slang.Parser.Error (m, _) -> m
   | Slogical.Binder.Error m -> m
   | e -> Printexc.to_string e
 

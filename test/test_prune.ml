@@ -74,6 +74,45 @@ let test_random_equivalent () =
          script)
   done
 
+(* Serve's combined batches: every batch of a generated session stream
+   with at least three distinct normal forms, combined into one script as
+   the serve engine does.  These multi-script memos hold many LCAs and
+   most of their rounds lose to the incumbent, so they are where the round
+   screen does its work. *)
+let combined_batches =
+  lazy
+    (let module N = Sserve.Normalize in
+     let batches = ref [] and pending = ref [] in
+     let flush () =
+       let distinct =
+         List.sort_uniq compare
+           (List.map (fun text -> N.to_text (N.parse text)) !pending)
+       in
+       if List.length distinct >= 3 then
+         batches := N.to_text (N.combine (List.map N.parse distinct)) :: !batches;
+       pending := []
+     in
+     List.iter
+       (function
+         | Sserve.Session.Script { text; _ } -> pending := text :: !pending
+         | Sserve.Session.Flush -> flush ()
+         | _ -> ())
+       (Sserve.Session.items_of_string
+          (Sworkload.Session_gen.generate ~seed:0 ~scripts:200 ()));
+     flush ();
+     List.rev !batches
+     |> List.mapi (fun i script -> (Printf.sprintf "combined %d" i, script)))
+
+let test_combined_equivalent () =
+  let batches = Lazy.force combined_batches in
+  if batches = [] then Alcotest.fail "no batch with >= 3 distinct scripts";
+  List.iter
+    (fun (name, script) ->
+      ignore
+        (assert_equivalent name ~catalog:(Sworkload.Session_gen.catalog ())
+           script))
+    batches
+
 (* The pruned run must actually prune somewhere on the workload the
    paper's Figure 3(c) shape stresses (S4: four interacting shared
    groups), or the acceptance numbers are vacuous.  On S4 the reduction
@@ -93,6 +132,26 @@ let test_s4_prunes () =
   then
     Alcotest.failf "S4: rounds only dropped %d -> %d (< 2x)"
       exact.Cse.Pipeline.rounds_executed r.Cse.Pipeline.rounds_executed;
+  (* most of S4's aborts are settled by the round screen, before the LCA
+     is re-optimized; a screened round is one of the aborted ones *)
+  Sobs.Trace.start ();
+  ignore
+    (Cse.Pipeline.run
+       ~catalog:(Thelpers.default_catalog ())
+       Sworkload.Paper_scripts.s4);
+  Sobs.Trace.stop ();
+  let screened =
+    List.length
+      (List.filter
+         (fun (e : Sobs.Trace.event) ->
+           e.Sobs.Trace.name = "ReoptimizeRound"
+           && List.assoc_opt "screened" e.Sobs.Trace.args
+              = Some (Sobs.Trace.Int 1))
+         (Sobs.Trace.collect ()))
+  in
+  if screened = 0 || screened > r.Cse.Pipeline.rounds_aborted_bound then
+    Alcotest.failf "S4: %d rounds screened of %d aborted" screened
+      r.Cse.Pipeline.rounds_aborted_bound;
   let r2 =
     Cse.Pipeline.run
       ~catalog:(Thelpers.default_catalog ())
@@ -105,8 +164,8 @@ let test_s4_prunes () =
    aborted by the bound; nothing is lost or double-counted. *)
 let test_round_accounting () =
   List.iter
-    (fun (name, script) ->
-      let r = Cse.Pipeline.run ~catalog:(Thelpers.default_catalog ()) script in
+    (fun (name, catalog, script) ->
+      let r = Cse.Pipeline.run ~catalog:(catalog ()) script in
       let space = r.Cse.Pipeline.rounds_sequential - r.Cse.Pipeline.rounds_pruned in
       let spent =
         r.Cse.Pipeline.rounds_executed + r.Cse.Pipeline.rounds_aborted_bound
@@ -115,8 +174,13 @@ let test_round_accounting () =
         Alcotest.failf "%s: executed %d + aborted %d <> sequential %d - pruned %d"
           name r.Cse.Pipeline.rounds_executed r.Cse.Pipeline.rounds_aborted_bound
           r.Cse.Pipeline.rounds_sequential r.Cse.Pipeline.rounds_pruned)
-    (Sworkload.Paper_scripts.all
-    @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    (List.map
+       (fun (name, script) -> (name, Thelpers.default_catalog, script))
+       (Sworkload.Paper_scripts.all
+       @ [ ("IND", Sworkload.Paper_scripts.independent_pair) ])
+    @ List.map
+        (fun (name, script) -> (name, Sworkload.Session_gen.catalog, script))
+        (Lazy.force combined_batches))
 
 (* An exhaustive run records no prunes, no aborts and no reuse hits. *)
 let test_noprune_counters_zero () =
@@ -234,6 +298,8 @@ let () =
           Alcotest.test_case "LS1 pruned = exhaustive" `Slow test_ls1_equivalent;
           Alcotest.test_case "LS2 pruned = exhaustive" `Slow test_ls2_equivalent;
           Alcotest.test_case "30 random scripts" `Slow test_random_equivalent;
+          Alcotest.test_case "combined serve batches pruned = exhaustive"
+            `Quick test_combined_equivalent;
           Alcotest.test_case "S4 actually prunes" `Quick test_s4_prunes;
         ] );
       ( "accounting",

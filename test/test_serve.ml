@@ -242,6 +242,19 @@ let test_failed_session_contained () =
       Alcotest.(check bool) "good session produced rows" true (good.E.rows > 0)
   | _ -> Alcotest.fail "expected two results"
 
+(* A lexer failure reaches the client as its message, like a parse error,
+   never as the raw exception constructor. *)
+let test_lexer_error_described () =
+  let e = fresh_engine () in
+  E.submit e ~id:"a" ~text:"R = EXTRACT A FROM \"x\" USING L; : \n";
+  match (flush_exn e).E.results with
+  | [ r ] -> (
+      match r.E.status with
+      | E.Failed m ->
+          Alcotest.(check string) "message" "unexpected character ':'" m
+      | E.Done _ -> Alcotest.fail "a lexer error must fail the session")
+  | _ -> Alcotest.fail "expected one result"
+
 (* --- session protocol ---------------------------------------------------- *)
 
 let test_protocol_parse () =
@@ -471,6 +484,8 @@ let () =
             test_within_batch_duplicate;
           Alcotest.test_case "failed session contained" `Quick
             test_failed_session_contained;
+          Alcotest.test_case "lexer error described" `Quick
+            test_lexer_error_described;
         ] );
       ( "cross-script",
         [
