@@ -39,76 +39,24 @@
      the large workloads ([--only LS1,LS2]) where the signal is outside
      the noise floor.
 
-   The parser matches the writer in main.ml: flat records of numbers
-   keyed by "name", scanned with string search — no JSON dependency,
-   same as the writer.
+   Both files are parsed with [Sobs.Json]: the [workloads] array of
+   flat records of numbers keyed by "name".
 
    Usage: compare [--equivalence | --perf FACTOR | --exec-perf FACTOR]
                   [--only W1,W2] BASELINE.json FRESH.json *)
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+(* The workload records of a bench file, keyed by their "name". *)
+let records path =
+  let doc = Sobs.Json.parse (In_channel.with_open_bin path In_channel.input_all) in
+  Option.bind (Sobs.Json.member "workloads" doc) Sobs.Json.to_list
+  |> Option.value ~default:[]
+  |> List.filter_map (fun w ->
+         Option.map
+           (fun name -> (name, w))
+           (Option.bind (Sobs.Json.member "name" w) Sobs.Json.to_str))
 
-(* Split the workloads array into one chunk per record, keyed by its
-   "name" value. *)
-let records text =
-  let key = {|{"name": "|} in
-  let rec go acc from =
-    match
-      if from >= String.length text then None
-      else
-        let rec find i =
-          if i + String.length key > String.length text then None
-          else if String.sub text i (String.length key) = key then Some i
-          else find (i + 1)
-        in
-        find from
-    with
-    | None -> List.rev acc
-    | Some start ->
-        let name_start = start + String.length key in
-        let name_end = String.index_from text name_start '"' in
-        let name = String.sub text name_start (name_end - name_start) in
-        let chunk_end =
-          let rec find i =
-            if i + String.length key > String.length text then
-              String.length text
-            else if String.sub text i (String.length key) = key then i
-            else find (i + 1)
-          in
-          find (start + 1)
-        in
-        go ((name, String.sub text start (chunk_end - start)) :: acc) chunk_end
-  in
-  go [] 0
-
-(* Value of "field": NUMBER inside a record chunk. *)
-let field chunk name =
-  let key = Printf.sprintf "\"%s\": " name in
-  let rec find i =
-    if i + String.length key > String.length chunk then None
-    else if String.sub chunk i (String.length key) = key then
-      Some (i + String.length key)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while
-        !stop < String.length chunk
-        &&
-        match chunk.[!stop] with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      do
-        incr stop
-      done;
-      float_of_string_opt (String.sub chunk start (!stop - start))
+(* Numeric value of [name] in a workload record. *)
+let field w name = Option.bind (Sobs.Json.member name w) Sobs.Json.to_float
 
 (* The deterministic fields: identical runs of the same code must agree
    exactly.  Costs are doubles printed with %.17g (round-trip exact);
@@ -161,8 +109,8 @@ let () =
   let baseline_path, fresh_path =
     match List.rev !files with [ b; f ] -> (b, f) | _ -> usage ()
   in
-  let baseline = records (read_file baseline_path) in
-  let fresh = records (read_file fresh_path) in
+  let baseline = records baseline_path in
+  let fresh = records fresh_path in
   let wanted name =
     match !only with None -> true | Some names -> List.mem name names
   in
@@ -180,15 +128,15 @@ let () =
     | ExecPerf _ -> []
   in
   List.iter
-    (fun (name, fresh_chunk) ->
+    (fun (name, fresh_w) ->
       match List.assoc_opt name baseline with
       | _ when not (wanted name) -> ()
       | None -> Printf.printf "%-5s not in baseline, skipped\n" name
-      | Some base_chunk ->
+      | Some base_w ->
           incr compared;
           List.iter
             (fun f ->
-              match (field base_chunk f, field fresh_chunk f) with
+              match (field base_w f, field fresh_w f) with
               | Some b, Some v when b <> v ->
                   incr drift;
                   Printf.printf "%-5s %s drifted: baseline %.17g, now %.17g\n"
@@ -203,8 +151,8 @@ let () =
             checked_fields;
           (match !mode with
           | Perf factor ->
-              (match (field base_chunk "rounds_executed",
-                      field fresh_chunk "rounds_executed") with
+              (match (field base_w "rounds_executed",
+                      field fresh_w "rounds_executed") with
               | Some b, Some v when v *. factor > b ->
                   incr drift;
                   Printf.printf
@@ -218,7 +166,7 @@ let () =
                   Printf.printf "%-5s rounds_executed missing\n" name);
               (* same-machine wall clock: the pruned run must not be
                  slower than the exhaustive one beyond scheduler noise *)
-              (match (field base_chunk "cse_time_s", field fresh_chunk "cse_time_s")
+              (match (field base_w "cse_time_s", field fresh_w "cse_time_s")
                with
               | Some b, Some v when v > b *. 1.1 ->
                   incr drift;
@@ -228,8 +176,8 @@ let () =
               | _ -> ())
           | ExecPerf factor ->
               (* the committed sequential wall must improve >= FACTOR *)
-              (match (field base_chunk "exec_wall_w1_s",
-                      field fresh_chunk "exec_wall_w1_s") with
+              (match (field base_w "exec_wall_w1_s",
+                      field fresh_w "exec_wall_w1_s") with
               | Some b, Some v when v *. factor > b ->
                   incr drift;
                   Printf.printf
@@ -245,8 +193,8 @@ let () =
                  regress the sequential one beyond scheduler noise; on
                  walls under 20ms the jitter alone exceeds the margin,
                  so the check only applies where the signal is real *)
-              (match (field fresh_chunk "exec_wall_w1_s",
-                      field fresh_chunk "exec_wall_wN_s") with
+              (match (field fresh_w "exec_wall_w1_s",
+                      field fresh_w "exec_wall_wN_s") with
               | Some w1, Some wn when w1 < 0.02 ->
                   Printf.printf
                     "%-5s exec_wall_w1_s %.6f under noise floor, wN check \

@@ -786,8 +786,7 @@ let () =
      paired with the default run, bench/compare --equivalence proves the
      pruning layers never change a chosen plan's cost *)
   let config =
-    if List.mem "--no-prune" argv then Cse.Config.no_pruning Cse.Config.default
-    else Cse.Config.default
+    { Cse.Config.default with prune = not (List.mem "--no-prune" argv) }
   in
   let workers =
     let rec find = function

@@ -105,7 +105,7 @@ let no_prune_arg =
 (* Base optimizer configuration from the shared CLI flags. *)
 let base_config ~no_ext ~no_prune =
   let c = if no_ext then Cse.Config.no_extensions else Cse.Config.default in
-  if no_prune then Cse.Config.no_pruning c else c
+  { c with Cse.Config.prune = not no_prune }
 
 let dot_arg =
   Arg.(
@@ -181,9 +181,9 @@ let profile_arg =
         ~doc:
           "Record per-kernel batch-processing time histograms \
            (exec.kernel_seconds, labeled by kernel and stage) during \
-           execution.  Off by default: the disabled path is a single \
-           atomic load per kernel invocation and outputs are \
-           byte-identical either way.")
+           execution into the executor's metrics registry.  Off by \
+           default: the disabled path is a single branch per kernel \
+           invocation and outputs are byte-identical either way.")
 
 let audit_arg =
   Arg.(
@@ -280,6 +280,35 @@ let exec_counters (c : Sexec.Engine.counters) =
     ("exec.machines_failed", c.Sexec.Engine.machines_failed);
   ]
 
+(* The validated run's label-free histograms with observations, sorted
+   by name (the engine registry's snapshot order). *)
+let histograms (v : Sexec.Validate.outcome) =
+  List.filter_map
+    (fun (r : Sobs.Metrics.row) ->
+      match r.Sobs.Metrics.value with
+      | Sobs.Metrics.Dist s
+        when r.Sobs.Metrics.labels = [] && s.Sobs.Hist.count > 0 ->
+          Some (r.Sobs.Metrics.name, s)
+      | _ -> None)
+    (Sobs.Metrics.snapshot v.Sexec.Validate.metrics)
+
+(* The validated run's kernel profile rows; [] unless profiled. *)
+let kernel_profile (v : Sexec.Validate.outcome) =
+  List.filter
+    (fun (r : Sobs.Metrics.row) -> r.Sobs.Metrics.name = "exec.kernel_seconds")
+    (Sobs.Metrics.snapshot v.Sexec.Validate.metrics)
+
+let pp_histograms ppf = function
+  | [] -> ()
+  | hs ->
+      Fmt.pf ppf "histograms:@.";
+      List.iter
+        (fun (n, (s : Sobs.Hist.summary)) ->
+          Fmt.pf ppf
+            "  %-26s count=%-6d sum=%-10.4g p50=%-8.3g p90=%-8.3g max=%.3g@." n
+            s.count s.sum s.p50 s.p90 s.max)
+        hs
+
 let exec_summary workers (v : Sexec.Validate.outcome) =
   {
     Cse.Pipeline.workers;
@@ -319,7 +348,6 @@ let optimize run_exec =
   let f machines budget no_ext no_prune verbose audit dot inject rate workers
       batch_size trace profile script =
     setup_logs verbose;
-    Sexec.Profile.set profile;
     if trace <> None then Sobs.Trace.start ();
     let attempts_acc = ref [] in
     let catalog = make_catalog script in
@@ -356,7 +384,8 @@ let optimize run_exec =
       else begin
         let v =
           Sexec.Validate.check ~verify_props:true ~workers ~batch_size
-            ~machines catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
+            ~profile ~machines catalog r.Cse.Pipeline.dag
+            r.Cse.Pipeline.cse_plan
         in
         attempts_acc := !attempts_acc @ [ v.Sexec.Validate.attempts ];
         r.Cse.Pipeline.exec <- Some (exec_summary workers v);
@@ -411,7 +440,7 @@ let optimize run_exec =
                   else Error (`Msg "fault-injected execution diverged"))
         in
         if profile then
-          Fmt.pr "%s" (Sobs.Metrics.to_prom (Sexec.Profile.snapshot ()));
+          Fmt.pr "%s" (Sobs.Metrics.to_prom (kernel_profile v));
         if not v.Sexec.Validate.ok then Error (`Msg "execution mismatch")
         else injected
       end
@@ -532,7 +561,6 @@ let serve_cmd =
   let f machines workers batch_size no_ext no_prune verbose audit json trace
       budget gen seed stats_file stats_interval profile inject rate file =
     setup_logs verbose;
-    Sexec.Profile.set profile;
     let out = if json then Fmt.epr else Fmt.pr in
     let catalog = Relalg.Catalog.default () in
     Sworkload.Session_gen.register catalog;
@@ -549,15 +577,12 @@ let serve_cmd =
     Result.bind faults @@ fun faults ->
     let engine =
       Sserve.Engine.create ~config ?max_seconds:budget ~cluster ~workers
-        ~batch_size ?faults catalog
+        ~batch_size ?faults ~profile catalog
     in
     (* The flight recorder rides in the trace ring whenever no explicit
        --trace session owns the tracer. *)
     if trace = None then Sobs.Flight.enable ();
-    let stats_rows () =
-      Sobs.Metrics.snapshot (Sserve.Engine.metrics engine)
-      @ Sexec.Profile.snapshot ()
-    in
+    let stats_rows () = Sobs.Metrics.snapshot (Sserve.Engine.metrics engine) in
     let stats_json () =
       Sobs.Json.to_string (Sobs.Metrics.to_json (stats_rows ()))
     in
@@ -819,7 +844,7 @@ let serve_cmd =
               Sanalysis.Serve_audit.run
                 ~cache_entries:
                   (Sserve.Plan_cache.size (Sserve.Engine.cache engine))
-                (Sobs.Metrics.snapshot (Sserve.Engine.metrics engine))
+                (stats_rows ())
             in
             if sa46 <> [] then begin
               out "%a" Sanalysis.Diag.pp_report sa46;
@@ -962,9 +987,8 @@ let json_report ~machines ~workers (r : Cse.Pipeline.report)
         Sobs.Json.Obj (List.map (fun (n, c) -> (n, int c)) counters) );
       ( "histograms",
         Sobs.Json.Obj
-          (List.map (fun (n, s) -> (n, json_of_hist s)) (Sobs.Hist.snapshot ()))
-      );
-      ("kernel_profile", Sobs.Metrics.to_json (Sexec.Profile.snapshot ()));
+          (List.map (fun (n, s) -> (n, json_of_hist s)) (histograms v)) );
+      ("kernel_profile", Sobs.Metrics.to_json (kernel_profile v));
     ]
 
 let report_cmd =
@@ -979,7 +1003,6 @@ let report_cmd =
   let f machines budget no_ext no_prune verbose workers batch_size trace
       profile json script =
     setup_logs verbose;
-    Sexec.Profile.set profile;
     if trace <> None then Sobs.Trace.start ();
     let catalog = make_catalog script in
     let cluster = Scost.Cluster.with_machines machines Scost.Cluster.default in
@@ -989,8 +1012,8 @@ let report_cmd =
     in
     let r = Cse.Pipeline.run ~config ?budget ~cluster ~catalog script in
     let v =
-      Sexec.Validate.check ~verify_props:true ~workers ~batch_size ~machines
-        catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
+      Sexec.Validate.check ~verify_props:true ~workers ~batch_size ~profile
+        ~machines catalog r.Cse.Pipeline.dag r.Cse.Pipeline.cse_plan
     in
     r.Cse.Pipeline.exec <- Some (exec_summary workers v);
     (* both lists nonzero-only and sorted by name, like the report's
@@ -1016,9 +1039,8 @@ let report_cmd =
       Fmt.pr "%a" Cse.Pipeline.pp_steps r;
       Fmt.pr "%a" Cse.Pipeline.pp_exec (exec_summary workers v);
       Fmt.pr "%a" Cse.Pipeline.pp_counters exec_counters;
-      Fmt.pr "%a" Sobs.Hist.pp ();
-      if profile then
-        Fmt.pr "%s" (Sobs.Metrics.to_prom (Sexec.Profile.snapshot ()))
+      Fmt.pr "%a" pp_histograms (histograms v);
+      if profile then Fmt.pr "%s" (Sobs.Metrics.to_prom (kernel_profile v))
     end;
     if not v.Sexec.Validate.ok then Error (`Msg "execution mismatch")
     else trace_result

@@ -15,18 +15,17 @@ type t = {
          (Section V expansion, bounded for wide keys) *)
   max_properties_per_group : int option;
       (* optional cap on the per-shared-group history used for rounds *)
-  use_dominance_pruning : bool;
-      (* drop round candidates dominated by a kept candidate with the same
+  prune : bool;
+      (* the three phase-2 pruning layers (see DESIGN.md, round pruning):
+         drop round candidates dominated by a kept candidate with the same
          partitioning and a strictly stronger sort at equal enforcement
-         cost (see DESIGN.md, round pruning) *)
-  use_round_bound : bool;
-      (* branch-and-bound early exit: abort a re-optimization round once
-         its accumulated lower bound exceeds the incumbent round cost, and
-         screen rounds whose lower bound loses before re-optimizing *)
-  use_slice_reuse : bool;
-      (* key pinned-shared-group winners on the enforcement slice visible
-         below the group, so unrelated assignment changes between rounds
-         still hit the winner cache *)
+         cost; abort a re-optimization round once its accumulated lower
+         bound exceeds the incumbent round cost, and screen rounds whose
+         lower bound loses before re-optimizing; key pinned-shared-group
+         winners on the enforcement slice visible below the group, so
+         unrelated assignment changes between rounds still hit the winner
+         cache.  Off (--no-prune) enumerates every round exhaustively;
+         chosen plans are byte-identical either way *)
   audit : bool;
       (* ask harnesses (tests, bench, CLI) to run the full static-analysis
          audit on every optimized plan; the pipeline itself cannot run it
@@ -41,9 +40,7 @@ let default =
     use_property_ranking = true;
     subset_expansion_cap = 4;
     max_properties_per_group = None;
-    use_dominance_pruning = true;
-    use_round_bound = true;
-    use_slice_reuse = true;
+    prune = true;
     audit = false;
   }
 
@@ -54,14 +51,4 @@ let no_extensions =
     use_independent_groups = false;
     use_group_ranking = false;
     use_property_ranking = false;
-  }
-
-(* Exhaustive phase-2 enumeration: every pruning layer off (the --no-prune
-   ablation).  Chosen plans must be byte-identical to [default]. *)
-let no_pruning c =
-  {
-    c with
-    use_dominance_pruning = false;
-    use_round_bound = false;
-    use_slice_reuse = false;
   }

@@ -13,19 +13,13 @@ type t = {
           singletons + adjacent pairs instead of all subsets *)
   max_properties_per_group : int option;
       (** optional cap on the per-shared-group history used for rounds *)
-  use_dominance_pruning : bool;
-      (** drop round candidates dominated by a kept candidate with the
-          same partitioning and a strictly stronger sort at equal
-          enforcement cost *)
-  use_round_bound : bool;
-      (** branch-and-bound early exit: abort a round once its accumulated
-          lower bound exceeds the incumbent round cost, and screen each
-          round before re-optimizing the LCA — a round whose pinned base
-          plans plus region floor already exceed the bound is booked as
-          aborted without running *)
-  use_slice_reuse : bool;
-      (** key pinned-shared-group winners on the enforcement slice visible
-          below the group (cross-round winner reuse) *)
+  prune : bool;
+      (** the three phase-2 pruning layers: dominance filtering of round
+          candidates, branch-and-bound round aborts and round screening,
+          and cross-round winner reuse keyed on the enforcement slice
+          below a pinned group.  Off ([--no-prune]) enumerates every
+          round exhaustively; chosen plans are byte-identical either
+          way *)
   audit : bool;
       (** ask harnesses (tests, bench, CLI) to run the full static-analysis
           audit on every optimized plan; honored by the callers since the
@@ -37,8 +31,3 @@ val default : t
 
 (** The base framework with all Section VIII extensions disabled. *)
 val no_extensions : t
-
-(** [no_pruning c]: [c] with every phase-2 pruning layer disabled — the
-    exhaustive enumeration the [--no-prune] ablation runs.  Chosen plans
-    must be byte-identical to the pruned run. *)
-val no_pruning : t -> t

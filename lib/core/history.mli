@@ -38,7 +38,6 @@ val dominates : by:Sphys.Reqprops.t -> Sphys.Reqprops.t -> bool
 
 (** {!ranked_properties} after dominance filtering: kept property sets in
     ranked order, plus each dropped set paired with the kept candidate
-    that dominates it.  With [use_dominance_pruning] off, everything is
-    kept. *)
+    that dominates it.  With [prune] off, everything is kept. *)
 val candidates :
   t -> int -> Sphys.Reqprops.t list * (Sphys.Reqprops.t * Sphys.Reqprops.t) list

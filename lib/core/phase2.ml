@@ -29,11 +29,6 @@ let log_src = Logs.Src.create "scopecse.phase2" ~doc:"CSE re-optimization"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Wall time of each re-optimization round, observed only while tracing is
-   enabled so the hot loop stays free of per-round clock reads and trace
-   allocations on the default path (the lib/obs contract). *)
-let round_seconds = Sobs.Hist.hist "opt.round_seconds"
-
 let pp_assignment assignment =
   String.concat "; "
     (List.map
@@ -145,9 +140,7 @@ let rec compensate (t : Optimizer.t) (g : Smemo.Memo.group)
 let pinned_inner state s pinned enforce =
   let si = shared_info state in
   let keep =
-    if
-      state.config.Config.use_slice_reuse && Hashtbl.mem si.Shared_info.info s
-    then begin
+    if state.config.Config.prune && Hashtbl.mem si.Shared_info.info s then begin
       let below = Shared_info.shared_below si s in
       fun (gid, _) -> gid <> s && List.mem gid below
     end
@@ -273,7 +266,7 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
      naive/sequential counters keep describing the unpruned space so the
      pruning is visible as rounds_pruned *)
   let with_props =
-    if state.config.Config.use_dominance_pruning then
+    if state.config.Config.prune then
       List.map
         (List.map (fun s ->
              let kept, dropped = History.candidates state.history s in
@@ -291,7 +284,7 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
     + (Rounds.sequential_total ranked - Rounds.sequential_total with_props);
   let gen = Rounds.create with_props in
   let candidates = ref [] in
-  let use_bound = state.config.Config.use_round_bound in
+  let use_bound = state.config.Config.prune in
   (* layer 2 incumbent: the cheapest walking cost seen at this LCA so far.
      Bounds carry a hair of relative slack so a round in true near-tie
      territory is never aborted — ties must keep resolving exactly as in
@@ -393,10 +386,8 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
                   ("assignment", Sobs.Trace.Str (pp_assignment assignment));
                 ]
               "ReoptimizeRound";
-          let rt0 = if traced then Unix.gettimeofday () else 0.0 in
           let finish ?(screen = false) cost =
-            if traced then begin
-              Sobs.Hist.observe round_seconds (Unix.gettimeofday () -. rt0);
+            if traced then
               Sobs.Trace.end_span ~pid:Sobs.Trace.pid_phase2
                 ~args:
                   [
@@ -404,7 +395,6 @@ let run_rounds state (t : Optimizer.t) (g : Smemo.Memo.group)
                     ("screened", Sobs.Trace.Int (Bool.to_int screen));
                   ]
                 "ReoptimizeRound"
-            end
           in
           let screen = screened ext' bound in
           let result = if screen then None else log_phys_opt ~bound g ext' in

@@ -90,10 +90,17 @@ type t = {
   mutable last_wall : float;
   (* per-worker busy seconds of the most recent [execute] *)
   mutable last_busy : float array;
+  (* the engine's instrumentation registry; the histogram handles below
+     are resolved in it once, at [create], and accumulate over the
+     engine's lifetime (one observation per stage attempt or committed
+     batch, far off any inner loop) *)
+  metrics : Sobs.Metrics.t;
+  stage_seconds : Sobs.Hist.t;  (* wall seconds per stage attempt *)
+  stage_rows : Sobs.Hist.t;  (* live rows per stage attempt's output *)
+  batch_rows : Sobs.Hist.t;  (* live rows per stage-output batch *)
+  (* kernel profiling: [Some metrics] when enabled *)
+  profile : Profile.t;
 }
-
-(* Distribution of live rows per stage-output batch. *)
-let batch_rows_h = Sobs.Hist.hist "exec.batch_rows"
 
 let default_batch_size = 1024
 
@@ -111,12 +118,14 @@ let par_threshold = 8192
    only. *)
 let create ?(datagen = Datagen.default) ?(verify_props = false) ?faults
     ?(oversubscribe = false) ?(workers = 1)
-    ?(batch_size = default_batch_size) ~machines catalog =
+    ?(batch_size = default_batch_size) ?(metrics = Sobs.Metrics.create ())
+    ?(profile = false) ~machines catalog =
   let workers = max 1 workers in
   let workers =
     if oversubscribe then workers
     else min workers (Domain.recommended_domain_count ())
   in
+  let hist = Sobs.Metrics.histogram metrics in
   {
     machines;
     workers;
@@ -148,6 +157,11 @@ let create ?(datagen = Datagen.default) ?(verify_props = false) ?faults
     last_seconds = [||];
     last_wall = 0.0;
     last_busy = [||];
+    metrics;
+    stage_seconds = hist "exec.stage_seconds";
+    stage_rows = hist "exec.stage_rows";
+    batch_rows = hist "exec.batch_rows";
+    profile = (if profile then Some metrics else None);
   }
 
 let empty_parts t : Batch.t list array = Array.make t.machines []
@@ -410,8 +424,9 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
     dist =
   let deps = ref st.Stage.deps in
   (* stage label for the kernel profiler; [Profile.now]/[Profile.note]
-     are one atomic load and a branch when profiling is off *)
+     are one match and a branch when profiling is off *)
   let sid = st.Stage.id in
+  let prof = t.profile in
   let rec eval (n : Plan.t) : dist =
     let d = eval_op n in
     if t.verify_props then check_delivered viols n d;
@@ -431,7 +446,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
     let schema = n.Plan.schema in
     match n.Plan.op with
     | Physop.P_extract { file; schema = fschema; _ } ->
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let key = (Catalog.version t.catalog, file, fschema) in
         let rows, parts =
           Mutex.protect t.extract_mu (fun () ->
@@ -462,11 +477,11 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                   built)
         in
         tally.t_extracted <- tally.t_extracted + rows;
-        Profile.note ~kernel:"extract" ~stage:sid t0;
+        Profile.note prof ~kernel:"extract" ~stage:sid t0;
         { schema = fschema; parts }
     | Physop.P_filter { pred } ->
         let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let cpred = Expr.compile d.schema pred in
         let r =
           map_parts pool
@@ -478,28 +493,28 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                 bs)
             d schema
         in
-        Profile.note ~kernel:"filter" ~stage:sid t0;
+        Profile.note prof ~kernel:"filter" ~stage:sid t0;
         r
     | Physop.P_project { items } ->
         let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let ces =
           Array.of_list
             (List.map (fun (e, _) -> Expr.compile d.schema e) items)
         in
         let r = map_parts pool (List.map (Batch.project schema ces)) d schema in
-        Profile.note ~kernel:"project" ~stage:sid t0;
+        Profile.note prof ~kernel:"project" ~stage:sid t0;
         r
     | Physop.P_sort { order } ->
         let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let keys = sort_keys d.schema order in
         let r = map_parts pool (sort_part t.batch_size d.schema keys) d schema in
-        Profile.note ~kernel:"sort" ~stage:sid t0;
+        Profile.note prof ~kernel:"sort" ~stage:sid t0;
         r
     | Physop.P_stream_agg { keys; aggs; scope = _ } ->
         let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let key_idx =
           Array.of_list (List.map (fun k -> Schema.index k d.schema) keys)
         in
@@ -514,11 +529,11 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                 (Batch.stream_agg schema ~key_idx ~aggs:aggs_a ~cargs bs))
             d schema
         in
-        Profile.note ~kernel:"aggregate" ~stage:sid t0;
+        Profile.note prof ~kernel:"aggregate" ~stage:sid t0;
         r
     | Physop.P_hash_agg { keys; aggs; scope = _ } ->
         let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let key_idx =
           Array.of_list (List.map (fun k -> Schema.index k d.schema) keys)
         in
@@ -533,7 +548,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                 (Batch.hash_agg schema ~key_idx ~aggs:aggs_a ~cargs bs))
             d schema
         in
-        Profile.note ~kernel:"aggregate" ~stage:sid t0;
+        Profile.note prof ~kernel:"aggregate" ~stage:sid t0;
         r
     | Physop.P_merge_join { kind; pairs; residual }
     | Physop.P_hash_join { kind; pairs; residual } -> (
@@ -548,7 +563,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
               | Slogical.Logop.Inner -> `Inner
               | Slogical.Logop.Left_outer -> `Left_outer
             in
-            let t0 = Profile.now () in
+            let t0 = Profile.now prof in
             let cpred =
               Expr.compile (l.schema @ r.schema)
                 (pred_of_pairs pairs residual)
@@ -564,7 +579,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
                 Array.init t.machines join_m
               else Sutil.Pool.parallel_init pool t.machines join_m
             in
-            Profile.note ~kernel:"join" ~stage:sid t0;
+            Profile.note prof ~kernel:"join" ~stage:sid t0;
             { schema; parts }
         | _ -> invalid_arg "Engine: join expects two children")
     | Physop.P_union_all -> (
@@ -587,25 +602,25 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
         if not is_sink then
           invalid_arg "Engine: OUTPUT outside the sink stage";
         let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let rows =
           List.concat (List.init t.machines (fun m -> part_rows d m))
         in
         t.outputs_rev <- (file, Table.make d.schema rows) :: t.outputs_rev;
-        Profile.note ~kernel:"output" ~stage:sid t0;
+        Profile.note prof ~kernel:"output" ~stage:sid t0;
         d
     | Physop.P_sequence ->
         List.iter (fun c -> ignore (eval_child c)) n.Plan.children;
         { schema = []; parts = empty_parts t }
     | Physop.P_exchange { cols } ->
         let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let r = exchange_on pool ~machines:t.machines tally d cols in
-        Profile.note ~kernel:"exchange" ~stage:sid t0;
+        Profile.note prof ~kernel:"exchange" ~stage:sid t0;
         r
     | Physop.P_merge_exchange { cols } ->
         let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let child_sort = (List.hd n.Plan.children).Plan.props.Props.sort in
         let ex = exchange_on pool ~machines:t.machines tally d cols in
         (* merge the sorted runs: re-sorting each partition is equivalent *)
@@ -613,11 +628,11 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
         let r =
           map_parts pool (sort_part t.batch_size ex.schema keys) ex ex.schema
         in
-        Profile.note ~kernel:"exchange" ~stage:sid t0;
+        Profile.note prof ~kernel:"exchange" ~stage:sid t0;
         r
     | Physop.P_gather ->
         let d = eval_child (List.hd n.Plan.children) in
-        let t0 = Profile.now () in
+        let t0 = Profile.now prof in
         let all = List.concat (Array.to_list d.parts) in
         let child_sort = (List.hd n.Plan.children).Plan.props.Props.sort in
         let all =
@@ -629,7 +644,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
         let parts = empty_parts t in
         parts.(0) <- all;
         tally.t_shuffled <- tally.t_shuffled + part_live all;
-        Profile.note ~kernel:"gather" ~stage:sid t0;
+        Profile.note prof ~kernel:"gather" ~stage:sid t0;
         { schema = d.schema; parts }
   in
   let d = eval st.Stage.root in
@@ -640,7 +655,7 @@ let execute_stage t ~pool ~tally ~viols ~is_sink (st : Stage.stage) ~read :
   Array.iter
     (List.iter (fun b ->
          tally.t_batches <- tally.t_batches + 1;
-         Sobs.Hist.observe batch_rows_h (float_of_int (Batch.live b))))
+         Sobs.Hist.observe t.batch_rows (float_of_int (Batch.live b))))
     d.parts;
   d
 
@@ -678,11 +693,14 @@ let execute t (plan : Plan.t) : dist =
             ~execute:(fun st ~read ->
               let tally = fresh_tally () in
               let viols = ref [] in
+              let t0 = Unix.gettimeofday () in
               let d =
                 execute_stage t ~pool ~tally ~viols
                   ~is_sink:(st.Stage.id = graph.Stage.sink)
                   st ~read
               in
+              Sobs.Hist.observe t.stage_seconds (Unix.gettimeofday () -. t0);
+              Sobs.Hist.observe t.stage_rows (float_of_int (dist_rows d));
               let sid = st.Stage.id in
               viol_slots.(sid) <- viol_slots.(sid) @ List.rev !viols;
               merge_tally t tally;

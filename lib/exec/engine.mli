@@ -23,8 +23,11 @@
     installed, cached partitions can be lost between stages and are
     recovered by recomputing the producing stage.  Counters record rows
     shuffled/extracted, spool executions/reads, batches produced, and
-    stage/retry accounting, with a rows-per-batch histogram in
-    [Sobs.Hist]. *)
+    stage/retry accounting.  Each engine owns one {!Sobs.Metrics}
+    registry holding its [exec.stage_seconds], [exec.stage_rows] and
+    [exec.batch_rows] histograms and, when profiling, its
+    [exec.kernel_seconds{kernel,stage}] series; no executor state is
+    process-global. *)
 
 type dist = { schema : Relalg.Schema.t; parts : Batch.t list array }
 
@@ -76,6 +79,16 @@ type t = {
       (** execution wall seconds of the most recent [execute] *)
   mutable last_busy : float array;
       (** per-worker busy seconds of the most recent [execute] *)
+  metrics : Sobs.Metrics.t;
+      (** the engine's instrumentation registry; its histograms
+          accumulate over the engine's lifetime, unlike [counters] *)
+  stage_seconds : Sobs.Hist.t;
+      (** [exec.stage_seconds]: wall seconds per stage attempt *)
+  stage_rows : Sobs.Hist.t;
+      (** [exec.stage_rows]: live rows per stage attempt's output *)
+  batch_rows : Sobs.Hist.t;
+      (** [exec.batch_rows]: live rows per stage-output batch *)
+  profile : Profile.t;  (** [Some metrics] when kernel profiling is on *)
 }
 
 val default_batch_size : int
@@ -84,7 +97,9 @@ val default_batch_size : int
     oversubscribed pool only adds scheduling latency — unless
     [oversubscribe] is set (the determinism tests use it to force true
     multi-domain runs on any host).  Results are byte-identical at every
-    worker count either way. *)
+    worker count either way.  [metrics] (default: a fresh registry) is
+    where the engine records; [profile] (default off) times every kernel
+    execution into it as [exec.kernel_seconds{kernel,stage}]. *)
 val create :
   ?datagen:Datagen.config ->
   ?verify_props:bool ->
@@ -92,6 +107,8 @@ val create :
   ?oversubscribe:bool ->
   ?workers:int ->
   ?batch_size:int ->
+  ?metrics:Sobs.Metrics.t ->
+  ?profile:bool ->
   machines:int ->
   Relalg.Catalog.t ->
   t

@@ -1,12 +1,13 @@
-(* Per-kernel batch-time profiling for the vectorized executor.
+(* Per-kernel batch-time profiling hooks for the vectorized executor.
 
-   Off by default: like [Sobs.Trace], every disabled entry point is one
-   atomic load and a branch — no allocation, no clock read — so the
-   hooks can live inside [Engine.execute_stage]'s kernel branches
-   without costing production runs anything.  Enabled (--profile-
-   kernels), each kernel execution records its wall seconds into an
-   [exec.kernel_seconds] histogram labeled by kernel and stage in a
-   process-global [Sobs.Metrics] registry.
+   Stateless: where timings go is the engine's own setting — [Some
+   registry] when the engine was created with [~profile:true], [None]
+   otherwise.  Like [Sobs.Trace], every disabled entry point is one
+   match and a branch — no allocation, no clock read — so the hooks
+   live inside [Engine.execute_stage]'s kernel branches without costing
+   production runs anything.  Enabled, each kernel execution records
+   its wall seconds into an [exec.kernel_seconds] histogram labeled by
+   kernel and stage in that registry.
 
    Timing wraps only the kernel work (after the operator's children
    have been evaluated), so a kernel's distribution is its own cost,
@@ -14,25 +15,15 @@
    counters: enabling it is observationally pure — the determinism
    matrix in test_exec runs one profiled column to prove it. *)
 
-let flag = Atomic.make false
-let enabled () = Atomic.get flag
-let set on = Atomic.set flag on
-
-(* Process-global, like the exec.* counters: kernel × stage is a small
-   closed label set, and a per-engine registry would force every engine
-   accessor through the hot path.  [reset] swaps in a fresh registry so
-   a reset profile is indistinguishable from a never-enabled one
-   (snapshot returns [], not zeroed series). *)
-let registry = Atomic.make (Sobs.Metrics.create ())
+type t = Sobs.Metrics.t option
 
 (* Kernel timestamps: 0.0 (static, no allocation) when disabled. *)
-let now () = if Atomic.get flag then Unix.gettimeofday () else 0.0
+let now (p : t) = match p with None -> 0.0 | Some _ -> Unix.gettimeofday ()
 
-let note ~kernel ~stage t0 =
-  if Atomic.get flag then
-    Sobs.Metrics.observe (Atomic.get registry) "exec.kernel_seconds"
-      ~labels:[ ("kernel", kernel); ("stage", string_of_int stage) ]
-      (Unix.gettimeofday () -. t0)
-
-let snapshot () = Sobs.Metrics.snapshot (Atomic.get registry)
-let reset () = Atomic.set registry (Sobs.Metrics.create ())
+let note (p : t) ~kernel ~stage t0 =
+  match p with
+  | None -> ()
+  | Some registry ->
+      Sobs.Metrics.observe registry "exec.kernel_seconds"
+        ~labels:[ ("kernel", kernel); ("stage", string_of_int stage) ]
+        (Unix.gettimeofday () -. t0)

@@ -12,6 +12,7 @@ type outcome = {
   wall : float;
   busy : float array;
   batch_size : int;
+  metrics : Sobs.Metrics.t;
 }
 
 (* ORDER BY specifications per output file, from the logical DAG. *)
@@ -64,12 +65,13 @@ let identical_outputs (a : (string * Table.t) list)
    contents against the reference results for [dag]; outputs with an
    ORDER BY are additionally checked to be globally sorted. *)
 let check ?(datagen = Datagen.default) ?(verify_props = false) ?faults
-    ?oversubscribe ?(workers = 1) ?batch_size ~machines (catalog : Catalog.t)
-    (dag : Slogical.Dag.t) (plan : Sphys.Plan.t) : outcome =
+    ?oversubscribe ?(workers = 1) ?batch_size ?profile ~machines
+    (catalog : Catalog.t) (dag : Slogical.Dag.t) (plan : Sphys.Plan.t) :
+    outcome =
   let expected = Reference.run ~datagen catalog dag in
   let engine =
     Engine.create ~datagen ~verify_props ?faults ?oversubscribe ~workers
-      ?batch_size ~machines catalog
+      ?batch_size ?profile ~machines catalog
   in
   let actual = Engine.run engine plan in
   let mismatches = ref [] in
@@ -116,4 +118,5 @@ let check ?(datagen = Datagen.default) ?(verify_props = false) ?faults
     wall = engine.Engine.last_wall;
     busy = engine.Engine.last_busy;
     batch_size = engine.Engine.batch_size;
+    metrics = engine.Engine.metrics;
   }

@@ -11,6 +11,9 @@ type outcome = {
   wall : float;  (** execution wall seconds *)
   busy : float array;  (** per-worker busy seconds *)
   batch_size : int;  (** the engine's batch granularity for the run *)
+  metrics : Sobs.Metrics.t;
+      (** the run's engine registry: exec histograms and, with
+          [~profile], the kernel profile *)
 }
 
 (** Byte-identical output comparison: same files in the same order, same
@@ -27,7 +30,8 @@ val identical_outputs :
     during execution (the outputs must still validate); [?workers] sets
     the executor's domain-pool width and [?batch_size] its columnar batch
     granularity — the outcome is identical for every
-    value, only wall time changes. *)
+    value, only wall time changes.  [?profile] turns on the engine's
+    kernel profiler. *)
 val check :
   ?datagen:Datagen.config ->
   ?verify_props:bool ->
@@ -35,6 +39,7 @@ val check :
   ?oversubscribe:bool ->
   ?workers:int ->
   ?batch_size:int ->
+  ?profile:bool ->
   machines:int ->
   Relalg.Catalog.t ->
   Slogical.Dag.t ->

@@ -1,5 +1,6 @@
-(* Log-bucketed histograms in a named process-global registry, so
-   reporting code can list every histogram without knowing its owner.
+(* Log-bucketed histograms.  A histogram is a plain value: the
+   registry that names it and decides its lifetime ({!Metrics}) is the
+   caller's, never a process-global table.
 
    Observations land in power-of-two buckets chosen by the float's
    binary exponent ([Float.frexp]) — one array index computation, no
@@ -16,21 +17,22 @@
    reports 0 everywhere, and a single observation reports itself as
    both p50 and p90 rather than its bucket's boundary. *)
 
-(* Bucket [k] covers [2^(k-41), 2^(k-40)); k = frexp exponent + 40,
-   clamped.  Bucket 0 also absorbs zero and negative observations. *)
-let nbuckets = 80
-let bias = 40
+(* Bucket 0 holds zero and negative observations (upper bound 0).
+   Bucket k >= 1 covers [2^(k-42), 2^(k-41)); k = frexp exponent + 41,
+   clamped, so bucket 1 also absorbs positive values below 2^-41. *)
+let nbuckets = 81
+let bias = 41
 
+(* [v] is finite: [observe] clamps everything else first *)
 let bucket_of v =
-  if v <= 0.0 || not (Float.is_finite v) then if v > 0.0 then nbuckets - 1 else 0
+  if v <= 0.0 then 0
   else
     let _, e = Float.frexp v in
-    max 0 (min (nbuckets - 1) (e + bias))
+    max 1 (min (nbuckets - 1) (e + bias))
 
-let upper_bound k = Float.ldexp 1.0 (k - bias)
+let upper_bound k = if k = 0 then 0.0 else Float.ldexp 1.0 (k - bias)
 
 type t = {
-  name : string;
   buckets : int Atomic.t array;
   sum : float Atomic.t;
   minv : float Atomic.t;
@@ -47,26 +49,13 @@ type summary = {
   buckets : (float * int) list;  (* nonzero buckets: upper bound, count *)
 }
 
-let make name =
+let make () =
   {
-    name;
     buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
     sum = Atomic.make 0.0;
     minv = Atomic.make infinity;
     maxv = Atomic.make neg_infinity;
   }
-
-let mu = Mutex.create ()
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
-
-let hist name =
-  Mutex.protect mu (fun () ->
-      match Hashtbl.find_opt registry name with
-      | Some h -> h
-      | None ->
-          let h = make name in
-          Hashtbl.add registry name h;
-          h)
 
 let rec cas_update a f =
   let cur = Atomic.get a in
@@ -76,14 +65,12 @@ let rec cas_update a f =
 let observe (h : t) v =
   (* a NaN or infinite observation would poison the CAS-maintained
      extremes (Float.max nan _ = nan) and with them every later
-     quantile; clamp it to the lowest bucket's value instead *)
+     quantile; clamp it to zero instead *)
   let v = if Float.is_finite v then v else 0.0 in
   Atomic.incr h.buckets.(bucket_of v);
   cas_update h.sum (fun s -> s +. v);
   cas_update h.minv (fun m -> Float.min m v);
   cas_update h.maxv (fun m -> Float.max m v)
-
-let name h = h.name
 
 let summarize (h : t) =
   let counts = Array.map Atomic.get h.buckets in
@@ -127,25 +114,3 @@ let reset (h : t) =
   Atomic.set h.sum 0.0;
   Atomic.set h.minv infinity;
   Atomic.set h.maxv neg_infinity
-
-let snapshot () =
-  let hs = Mutex.protect mu (fun () -> Hashtbl.fold (fun _ h acc -> h :: acc) registry []) in
-  hs
-  |> List.filter_map (fun h ->
-         let s = summarize h in
-         if s.count = 0 then None else Some (h.name, s))
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let reset_all () =
-  Mutex.protect mu (fun () -> Hashtbl.iter (fun _ h -> reset h) registry)
-
-let pp ppf () =
-  let snap = snapshot () in
-  if snap <> [] then begin
-    Fmt.pf ppf "histograms:@,";
-    List.iter
-      (fun (n, s) ->
-        Fmt.pf ppf "  %-26s count=%-6d sum=%-10.4g p50=%-8.3g p90=%-8.3g max=%.3g@,"
-          n s.count s.sum s.p50 s.p90 s.max)
-      snap
-  end

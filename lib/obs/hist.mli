@@ -1,12 +1,14 @@
-(** Log-bucketed histograms in a named process-global registry.
+(** Log-bucketed histograms.
 
-    Observations are bucketed by their binary exponent into power-of-two
-    buckets spanning [2{^-41}..2{^39}] (seconds, rows, anything
-    positive); zero and negatives fall into the lowest bucket, and
-    non-finite observations are clamped to zero rather than poisoning
-    the tracked extremes.  Recording is lock-free and domain-safe: one
-    atomic bucket increment plus CAS-maintained running sum, min and
-    max. *)
+    A histogram is a plain value with no name and no global registry:
+    {!Metrics} names it and owns its lifetime.  Observations are
+    bucketed by their binary exponent into power-of-two buckets with
+    upper bounds [2{^-40}..2{^39}] (seconds, rows, anything positive);
+    zero and negative observations have a bucket of their own with upper
+    bound [0], and non-finite observations are clamped to zero rather
+    than poisoning the tracked extremes.  Recording is lock-free and
+    domain-safe: one atomic bucket increment plus CAS-maintained running
+    sum, min and max. *)
 
 type t
 
@@ -23,30 +25,12 @@ type summary = {
       (** nonzero buckets as [(upper_bound, count)], ascending *)
 }
 
-(** Find or register the histogram named [name]. *)
-val hist : string -> t
-
-(** A free-standing histogram, not in the global registry — the building
-    block for label-scoped registries ({!Metrics}) whose lifecycle the
-    caller owns. *)
-val make : string -> t
+val make : unit -> t
 
 (** Record one observation.  Domain-safe. *)
 val observe : t -> float -> unit
 
-val name : t -> string
 val summarize : t -> summary
 
-(** Zero one histogram (registered or not). *)
+(** Zero the histogram. *)
 val reset : t -> unit
-
-(** All registered histograms with at least one observation, sorted by
-    name. *)
-val snapshot : unit -> (string * summary) list
-
-(** Zero every registered histogram (tests, repeated bench runs). *)
-val reset_all : unit -> unit
-
-(** Render the nonempty registry, one line per histogram, inside an
-    open vertical box. *)
-val pp : Format.formatter -> unit -> unit

@@ -1,8 +1,8 @@
 (* A typed registry of named counters, gauges and histograms with label
-   sets.  Instruments live in an explicit registry value (one per serve
-   engine, one per profiler) instead of a single process-global table,
-   so tests and long-running engines can snapshot and reset their own
-   metrics without seeing anyone else's.
+   sets.  Instruments live in an explicit registry value (one per
+   engine) instead of a single process-global table, so tests and
+   long-running engines can snapshot and reset their own metrics
+   without seeing anyone else's.
 
    The instrument handles are the atomics themselves: after the one
    mutex-protected get-or-create per (name, labels), recording is a
@@ -76,10 +76,7 @@ let gauge t ?(labels = []) name =
   | _ -> kind_error name labels "gauge"
 
 let histogram t ?(labels = []) name =
-  match
-    find_or_add t name labels (fun () ->
-        Histogram (Hist.make (full_name name (norm labels))))
-  with
+  match find_or_add t name labels (fun () -> Histogram (Hist.make ())) with
   | Histogram h -> h
   | _ -> kind_error name labels "histogram"
 

@@ -1,10 +1,10 @@
 (** A typed registry of named counters, gauges and histograms with
     label sets, snapshot-able and exposable.
 
-    A registry is an explicit value (one per serve engine, one per
-    profiler) rather than a process-global table, so long-running
-    engines and tests can snapshot and reset their own metrics in
-    isolation.  After the one locked get-or-create per
+    A registry is an explicit value (one per executor engine; a serve
+    engine shares its own with its executor) rather than a
+    process-global table, so long-running engines and tests can
+    snapshot and reset their own metrics in isolation.  After the one locked get-or-create per
     [(name, labels)] series, recording is a plain [Atomic] operation
     (or a {!Hist} observation): lock-free and domain-safe.  Hot paths
     should resolve the instrument handle once and hold it.
@@ -65,6 +65,5 @@ val to_prom : row list -> string
 (** JSON array of row objects (dependency-free, via {!Json}). *)
 val to_json : row list -> Json.t
 
-(** [name{k=v,...}] rendering, the display name used for histogram
-    series. *)
+(** [name{k=v,...}] rendering of a series. *)
 val full_name : string -> labels -> string

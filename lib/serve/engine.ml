@@ -30,8 +30,10 @@
 (* Every count the engine keeps lives in its own [Sobs.Metrics]
    registry: session, cache and cross-script sharing counters, per-path
    end-to-end session latency histograms, cache occupancy gauges and
-   per-tenant traffic counters.  Per-engine, so tests and embedded
-   engines never see each other's readings; [totals] reads it.
+   per-tenant traffic counters — and, shared with the executor, the
+   exec.* histograms and kernel profile.  Per-engine, so tests and
+   embedded engines never see each other's readings; [totals] reads
+   it.
 
    Invariants the SA046 audit holds a snapshot to:
    every session lands in [serve.sessions_submitted]; failures land in
@@ -87,7 +89,8 @@ type t = {
 
 let create ?(config = Cse.Config.default) ?max_tasks ?max_seconds
     ?(cluster = Scost.Cluster.default) ?(workers = 1) ?batch_size ?faults
-    (catalog : Relalg.Catalog.t) =
+    ?profile (catalog : Relalg.Catalog.t) =
+  let metrics = Sobs.Metrics.create () in
   {
     catalog;
     cluster;
@@ -96,11 +99,11 @@ let create ?(config = Cse.Config.default) ?max_tasks ?max_seconds
     max_seconds;
     cache = Plan_cache.create ();
     exec =
-      Sexec.Engine.create ~workers ?batch_size ?faults
+      Sexec.Engine.create ~workers ?batch_size ?faults ~metrics ?profile
         ~machines:cluster.Scost.Cluster.machines catalog;
     pending = [];
     batches = 0;
-    metrics = Sobs.Metrics.create ();
+    metrics;
   }
 
 let cache t = t.cache

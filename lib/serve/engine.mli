@@ -17,9 +17,12 @@
     shares, per-path session latency histograms
     ([serve.session_seconds{path=hit|share|miss}]), cache occupancy
     gauges ([serve.cache_size], [serve.cache_hit_ratio]) and per-tenant
-    traffic counters ([serve.tenant_*{tenant=...}]) — the registry
-    {!totals}, the [#stats] verb, [--stats-file] exposition and the SA046
-    consistency audit read. *)
+    traffic counters ([serve.tenant_*{tenant=...}]).  The executor
+    records into the same registry: its [exec.stage_seconds],
+    [exec.stage_rows] and [exec.batch_rows] histograms and, with
+    [~profile], [exec.kernel_seconds{kernel,stage}].  It is the one
+    registry {!totals}, the [#stats] verb, [--stats-file] exposition and
+    the SA046 consistency audit read. *)
 
 type status =
   | Done of { cache_hit : bool; combined : bool }
@@ -63,7 +66,8 @@ type t
     executor's domain pool and columnar batch granularity.  [faults]
     injects deterministic partition losses into every executor run
     (recovery drills; exhaustion propagates out of {!flush} so the
-    caller can dump the flight recorder). *)
+    caller can dump the flight recorder).  [profile] turns on the
+    executor's kernel profiler. *)
 val create :
   ?config:Cse.Config.t ->
   ?max_tasks:int ->
@@ -72,6 +76,7 @@ val create :
   ?workers:int ->
   ?batch_size:int ->
   ?faults:Sexec.Faults.spec ->
+  ?profile:bool ->
   Relalg.Catalog.t ->
   t
 

@@ -348,10 +348,10 @@ let test_faults_budget_exhaustion () =
    plus identical retry/loss accounting.  [~oversubscribe:true] defeats
    the engine's hardware-parallelism cap so the multi-domain paths are
    exercised even on a single-core host. *)
-let worker_matrix ?faults ~machines catalog dag plan =
+let worker_matrix ?faults ?profile ~machines catalog dag plan =
   let run workers =
-    Sexec.Validate.check ?faults ~oversubscribe:true ~machines ~workers
-      catalog dag plan
+    Sexec.Validate.check ?faults ?profile ~oversubscribe:true ~machines
+      ~workers catalog dag plan
   in
   let base = run 1 in
   if not base.Sexec.Validate.ok then
@@ -536,59 +536,57 @@ let test_parallel_large_scripts () =
    byte and no fault/retry counter, and the profiled engine still obeys
    the whole worker-count determinism contract (the profiled column of
    the matrix). *)
+let kernel_rows (m : Sobs.Metrics.t) =
+  List.filter
+    (fun (r : Sobs.Metrics.row) -> r.Sobs.Metrics.name = "exec.kernel_seconds")
+    (Sobs.Metrics.snapshot m)
+
 let test_profile_invariance () =
   let catalog, dag, plan = optimize Sworkload.Paper_scripts.s2 in
-  let run () =
-    Sexec.Validate.check ~oversubscribe:true ~machines:6 ~workers:2 catalog
-      dag plan
+  let run profile =
+    Sexec.Validate.check ~oversubscribe:true ~machines:6 ~workers:2 ~profile
+      catalog dag plan
   in
-  Sexec.Profile.reset ();
-  Sexec.Profile.set false;
-  let off = run () in
+  let off = run false in
   Alcotest.(check bool) "unprofiled run records nothing" true
-    (Sexec.Profile.snapshot () = []);
-  Fun.protect
-    ~finally:(fun () ->
-      Sexec.Profile.set false;
-      Sexec.Profile.reset ())
-    (fun () ->
-      Sexec.Profile.set true;
-      let on_ = run () in
-      Alcotest.(check bool) "outputs byte-identical with profiling on" true
-        (Sexec.Validate.identical_outputs off.Sexec.Validate.outputs
-           on_.Sexec.Validate.outputs);
-      Alcotest.(check (array int)) "per-stage attempts identical"
-        off.Sexec.Validate.attempts on_.Sexec.Validate.attempts;
-      Alcotest.(check int) "retries identical"
-        off.Sexec.Validate.counters.Sexec.Engine.retries
-        on_.Sexec.Validate.counters.Sexec.Engine.retries;
-      let rows = Sexec.Profile.snapshot () in
-      Alcotest.(check bool) "kernel histograms recorded" true (rows <> []);
-      Alcotest.(check bool) "rows carry kernel and stage labels" true
-        (List.for_all
-           (fun (r : Sobs.Metrics.row) ->
-             r.Sobs.Metrics.name = "exec.kernel_seconds"
-             && List.mem_assoc "kernel" r.Sobs.Metrics.labels
-             && List.mem_assoc "stage" r.Sobs.Metrics.labels)
-           rows);
-      (* the profiled column of the determinism matrix, fault-free and
-         fault-injected *)
-      ignore (worker_matrix ~machines:6 catalog dag plan);
-      ignore
-        (worker_matrix
-           ~faults:(Sexec.Faults.spec ~rate:0.3 11)
-           ~machines:6 catalog dag plan))
+    (kernel_rows off.Sexec.Validate.metrics = []);
+  let on_ = run true in
+  Alcotest.(check bool) "outputs byte-identical with profiling on" true
+    (Sexec.Validate.identical_outputs off.Sexec.Validate.outputs
+       on_.Sexec.Validate.outputs);
+  Alcotest.(check (array int)) "per-stage attempts identical"
+    off.Sexec.Validate.attempts on_.Sexec.Validate.attempts;
+  Alcotest.(check int) "retries identical"
+    off.Sexec.Validate.counters.Sexec.Engine.retries
+    on_.Sexec.Validate.counters.Sexec.Engine.retries;
+  let rows = kernel_rows on_.Sexec.Validate.metrics in
+  Alcotest.(check bool) "kernel histograms recorded" true (rows <> []);
+  Alcotest.(check bool) "rows carry kernel and stage labels" true
+    (List.for_all
+       (fun (r : Sobs.Metrics.row) ->
+         List.mem_assoc "kernel" r.Sobs.Metrics.labels
+         && List.mem_assoc "stage" r.Sobs.Metrics.labels)
+       rows);
+  (* the profiled column of the determinism matrix, fault-free and
+     fault-injected *)
+  ignore (worker_matrix ~profile:true ~machines:6 catalog dag plan);
+  ignore
+    (worker_matrix ~profile:true
+       ~faults:(Sexec.Faults.spec ~rate:0.3 11)
+       ~machines:6 catalog dag plan)
 
+(* The hooks as an unprofiled engine calls them: no allocation, no
+   clock read, nothing recorded in the engine's registry. *)
 let test_profile_disabled_zero_alloc () =
-  Sexec.Profile.set false;
-  Sexec.Profile.reset ();
+  let e = Sexec.Engine.create ~machines:2 (Relalg.Catalog.default ()) in
+  let p = e.Sexec.Engine.profile in
   (* warm up once so any one-time initialization is out of the way *)
-  Sexec.Profile.note ~kernel:"warm" ~stage:0 (Sexec.Profile.now ());
+  Sexec.Profile.note p ~kernel:"warm" ~stage:0 (Sexec.Profile.now p);
   let m0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    let t0 = Sexec.Profile.now () in
-    Sexec.Profile.note ~kernel:"hot" ~stage:1 t0;
-    Sexec.Profile.note ~kernel:"hotter" ~stage:2 t0
+    let t0 = Sexec.Profile.now p in
+    Sexec.Profile.note p ~kernel:"hot" ~stage:1 t0;
+    Sexec.Profile.note p ~kernel:"hotter" ~stage:2 t0
   done;
   let m1 = Gc.minor_words () in
   Alcotest.(check bool)
@@ -597,7 +595,50 @@ let test_profile_disabled_zero_alloc () =
     true
     (m1 -. m0 < 256.0);
   Alcotest.(check bool) "disabled path records nothing" true
-    (Sexec.Profile.snapshot () = [])
+    (kernel_rows e.Sexec.Engine.metrics = [])
+
+(* Instrumentation belongs to the engine, not the process: two engines
+   running different plans side by side, one of them profiled, each see
+   exactly their own stage and batch observations. *)
+let test_engine_registries_isolated () =
+  let engine ~profile script =
+    let catalog, _, plan = optimize script in
+    (Sexec.Engine.create ~profile ~machines:4 catalog, plan)
+  in
+  let a, plan_a = engine ~profile:true Sworkload.Paper_scripts.s2 in
+  let b, plan_b = engine ~profile:false Sworkload.Paper_scripts.s1 in
+  ignore (Sexec.Engine.run a plan_a);
+  ignore (Sexec.Engine.run b plan_b);
+  let count (e : Sexec.Engine.t) name =
+    List.fold_left
+      (fun acc (r : Sobs.Metrics.row) ->
+        match r.Sobs.Metrics.value with
+        | Sobs.Metrics.Dist s when r.Sobs.Metrics.name = name ->
+            acc + s.Sobs.Hist.count
+        | _ -> acc)
+      0
+      (Sobs.Metrics.snapshot e.Sexec.Engine.metrics)
+  in
+  List.iter
+    (fun (label, (e : Sexec.Engine.t)) ->
+      let c = e.Sexec.Engine.counters in
+      Alcotest.(check int) (label ^ ": exec.stage_seconds = stages_run")
+        c.Sexec.Engine.stages_run
+        (count e "exec.stage_seconds");
+      Alcotest.(check int) (label ^ ": exec.stage_rows = stages_run")
+        c.Sexec.Engine.stages_run
+        (count e "exec.stage_rows");
+      Alcotest.(check int) (label ^ ": exec.batch_rows = batches")
+        c.Sexec.Engine.batches
+        (count e "exec.batch_rows"))
+    [ ("S2", a); ("S1", b) ];
+  Alcotest.(check bool) "plans differ in stage count" true
+    (a.Sexec.Engine.counters.Sexec.Engine.stages_run
+    <> b.Sexec.Engine.counters.Sexec.Engine.stages_run);
+  Alcotest.(check bool) "the profiled engine has kernel rows" true
+    (kernel_rows a.Sexec.Engine.metrics <> []);
+  Alcotest.(check bool) "the unprofiled engine has none" true
+    (kernel_rows b.Sexec.Engine.metrics = [])
 
 let test_parallel_cross_script () =
   (* the serve batch path: two scripts sharing a scan chain are combined
@@ -716,5 +757,7 @@ let () =
             test_profile_invariance;
           Alcotest.test_case "disabled path zero-alloc" `Quick
             test_profile_disabled_zero_alloc;
+          Alcotest.test_case "engine registries isolated" `Quick
+            test_engine_registries_isolated;
         ] );
     ]

@@ -247,8 +247,7 @@ let test_pipeline_trace_stability () =
 (* --- histograms ----------------------------------------------------------- *)
 
 let test_hist_quantiles () =
-  H.reset_all ();
-  let h = H.hist "test.quantiles" in
+  let h = H.make () in
   List.iter (H.observe h) [ 0.5; 1.0; 4.0 ];
   let s = H.summarize h in
   Alcotest.(check int) "count" 3 s.H.count;
@@ -261,20 +260,27 @@ let test_hist_quantiles () =
   Alcotest.(check bool) "bucket upper bounds" true
     (List.map fst s.H.buckets = [ 1.0; 2.0; 8.0 ])
 
+(* Zero and negative observations have a bucket of their own whose
+   bound is 0 — not the smallest positive bucket's 2^-40 — while tiny
+   positive observations keep reporting the 2^-40 bound. *)
 let test_hist_low_bucket () =
-  H.reset_all ();
-  let h = H.hist "test.lowbucket" in
+  let h = H.make () in
   H.observe h 0.0;
   H.observe h (-1.0);
   let s = H.summarize h in
   Alcotest.(check int) "zero and negatives counted" 2 s.H.count;
-  Alcotest.(check bool) "both in the lowest bucket" true
-    (s.H.buckets = [ (Float.ldexp 1.0 (-40), 2) ]);
-  Alcotest.(check (float 1e-9)) "max clamps to zero" 0.0 s.H.max
+  Alcotest.(check bool) "both in the zero bucket" true
+    (s.H.buckets = [ (0.0, 2) ]);
+  Alcotest.(check (float 0.0)) "p50 is zero" 0.0 s.H.p50;
+  Alcotest.(check (float 1e-9)) "max clamps to zero" 0.0 s.H.max;
+  H.observe h 1e-13;
+  H.observe h 1.0;
+  let s = H.summarize h in
+  Alcotest.(check bool) "tiny positives keep the 2^-40 bound" true
+    (s.H.buckets = [ (0.0, 2); (Float.ldexp 1.0 (-40), 1); (2.0, 1) ])
 
 let test_hist_hammer () =
-  H.reset_all ();
-  let h = H.hist "test.hammer" in
+  let h = H.make () in
   let ds =
     List.init 4 (fun _ ->
         Domain.spawn (fun () ->
@@ -288,27 +294,26 @@ let test_hist_hammer () =
   Alcotest.(check (float 1e-6)) "no lost sum" 40_000.0 s.H.sum;
   Alcotest.(check (float 1e-9)) "max" 1.0 s.H.max
 
+(* Histograms are named and listed by the registry that owns them. *)
 let test_hist_snapshot_reset () =
-  H.reset_all ();
-  let b = H.hist "test.snap.b" in
-  let a = H.hist "test.snap.a" in
+  let m = M.create () in
+  let b = M.histogram m "test.snap.b" in
+  let a = M.histogram m "test.snap.a" in
   H.observe b 1.0;
   H.observe a 2.0;
-  let names = List.map fst (H.snapshot ()) in
-  Alcotest.(check bool) "snapshot sorted by name" true
-    (names = List.sort String.compare names);
-  Alcotest.(check bool) "both histograms present" true
-    (List.mem "test.snap.a" names && List.mem "test.snap.b" names);
-  H.reset_all ();
-  Alcotest.(check (list string)) "reset empties the snapshot" []
-    (List.map fst (H.snapshot ()))
+  let names = List.map (fun (r : M.row) -> r.M.name) (M.snapshot m) in
+  Alcotest.(check (list string)) "snapshot sorted by name"
+    [ "test.snap.a"; "test.snap.b" ] names;
+  H.reset a;
+  Alcotest.(check int) "reset empties the histogram" 0 (H.summarize a).H.count;
+  Alcotest.(check int) "and only that one" 1 (H.summarize b).H.count
 
 (* Quantiles must be well-defined at 0 and 1 observations: an empty
    histogram reads as all zeros (never NaN or a bucket bound), and a
    single observation reports itself as every quantile — the
    log-bucket upper bound is clamped to the exact extremes. *)
 let test_hist_empty_summary () =
-  let h = H.make "test.empty" in
+  let h = H.make () in
   let s = H.summarize h in
   Alcotest.(check int) "count" 0 s.H.count;
   Alcotest.(check (float 0.0)) "sum" 0.0 s.H.sum;
@@ -319,7 +324,7 @@ let test_hist_empty_summary () =
   Alcotest.(check bool) "no buckets" true (s.H.buckets = [])
 
 let test_hist_single_observation () =
-  let h = H.make "test.single" in
+  let h = H.make () in
   H.observe h 3.0;
   let s = H.summarize h in
   Alcotest.(check int) "count" 1 s.H.count;
@@ -330,7 +335,7 @@ let test_hist_single_observation () =
   Alcotest.(check (float 0.0)) "max" 3.0 s.H.max
 
 let test_hist_quantiles_within_extremes () =
-  let h = H.make "test.extremes" in
+  let h = H.make () in
   List.iter (H.observe h) [ 3.0; 3.5; 3.7 ];
   let s = H.summarize h in
   Alcotest.(check bool) "p50 within [min,max]" true

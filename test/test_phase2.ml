@@ -98,7 +98,7 @@ let test_s2_three_consumer_sharing () =
 (* The exact round-count tests run with pruning off: they verify the
    enumeration machinery itself (one round per candidate).  Pruned-mode
    accounting is covered in test_prune.ml. *)
-let exhaustive = Cse.Config.no_pruning Cse.Config.default
+let exhaustive = { Cse.Config.default with prune = false }
 
 let test_round_counts_s1 () =
   let r = Thelpers.pipeline ~config:exhaustive Sworkload.Paper_scripts.s1 in

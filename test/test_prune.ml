@@ -5,13 +5,13 @@
    pure search-space reductions: they must never change the chosen plan.
    Equivalence suite: the builtin workloads (S1-S4, IND, LS1, LS2) and
    30 random scripts optimized twice, pruned (default) vs exhaustive
-   ([Cse.Config.no_pruning]), asserting identical chosen-plan cost,
+   ([prune = false]), asserting identical chosen-plan cost,
    operator multiset and canonical algebra forms.  Unit tests pin the
    dominance order's edge cases and the pruned-space round accounting. *)
 
 open Sphys
 
-let exhaustive = Cse.Config.no_pruning Cse.Config.default
+let exhaustive = { Cse.Config.default with prune = false }
 
 (* Canonical forms of every output of a plan, interned in [ctx] so the
    ids are comparable across the two runs. *)

@@ -458,6 +458,27 @@ let test_generator_replay () =
           ~cache_entries:(PC.size (E.cache e))
           (Sobs.Metrics.snapshot (E.metrics e))))
 
+(* The executor records into the serve engine's own registry, so a new
+   engine never inherits an earlier engine's exec observations. *)
+let test_exec_histograms_per_engine () =
+  let exec_counts e =
+    let rows = metric_rows e in
+    List.map
+      (fun n -> hist_count rows n [])
+      [ "exec.stage_seconds"; "exec.stage_rows"; "exec.batch_rows" ]
+  in
+  let busy = fresh_engine () in
+  let a, b = shared_pair in
+  E.submit busy ~id:"a" ~text:a;
+  E.submit busy ~id:"b" ~text:b;
+  ignore (flush_exn busy);
+  E.submit busy ~id:"plain" ~text:plain;
+  ignore (flush_exn busy);
+  Alcotest.(check bool) "the busy engine recorded its executions" true
+    (List.for_all (fun c -> c > 0) (exec_counts busy));
+  Alcotest.(check (list int)) "a fresh engine starts empty" [ 0; 0; 0 ]
+    (exec_counts (fresh_engine ()))
+
 let () =
   Alcotest.run "serve"
     [
@@ -505,5 +526,7 @@ let () =
         [
           Alcotest.test_case "accounting and SA046" `Quick
             test_metrics_accounting;
+          Alcotest.test_case "exec histograms per engine" `Quick
+            test_exec_histograms_per_engine;
         ] );
     ]
